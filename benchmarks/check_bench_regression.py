@@ -21,8 +21,8 @@ carry it:
   wall-time floor: each op shared by both files must not be slower than
   the baseline by more than the tolerance.  This covers the raw engine
   kernels *and* the whole-network fused-plan end-to-end records, so a
-  lost fusion or autotune misfire fails CI even when the serving path
-  hides it behind batching.
+  lost fusion or a slower kernel pick fails CI even when the serving
+  path hides it behind batching.
 
 Throughput is hardware-relative, so each comparison only fires when the
 baseline was recorded on the same ``cores`` count as the current run;

@@ -24,9 +24,10 @@ from being a matmul - splits into
 * a **remainder reduction** ``sum_q (a_q w_q mod 2**B)``.  Because
   ``x*y mod 2**k`` is the natural wraparound of k-bit machine
   multiplication, the remainder term is a fused low-bits
-  multiply-accumulate: a native C kernel when available
-  (:mod:`repro.utils.native`), a chunked uint8/uint16 broadcast in pure
-  NumPy otherwise.  Both are bit-identical to the reference.
+  multiply-accumulate.  One rule, :meth:`SconnaEngine.remainder_kernel`,
+  picks its kernel from the output-pixel count: a native C kernel
+  (:mod:`repro.utils.native`) when available, a chunked uint8/uint16
+  broadcast in pure NumPy otherwise.  All are bit-identical.
 
 A :class:`SconnaLayerPlan` caches everything derivable from the weights
 (sign-split magnitudes, low bits, psum-group slices, dtype choices) so a
@@ -34,12 +35,10 @@ layer pays the preparation cost once at quantization time, not per
 forward pass.  :class:`SconnaEngine` adds reusable activation/workspace
 buffers on top.
 
-**RNG-stream caveat.**  The engine draws the per-psum-group ADC noise in
-one vectorized ``(B, 2L, P)`` batch instead of the reference's two
-``(B, L, P)`` draws (positive then negative), so with an active error
-model the noisy logits are *statistically* - not bitwise - equivalent to
-the reference implementation.  With ``error_model=None`` (or an ideal
-model) the two paths are exactly equal, which the property tests lock.
+The oracle is the seed per-channel loop, :func:`sconna_matmul_reference`.
+It draws the per-psum-group ADC noise over the same stacked
+``(B, 2L, P)`` ``[pos; neg]`` counts as the engine, so the two agree
+bit for bit under any seeded error model, not only the ideal one.
 """
 
 from __future__ import annotations
@@ -116,7 +115,7 @@ class SconnaLayerPlan:
 
     @property
     def native_eligible(self) -> bool:
-        """The C kernel handles the uint8 (B <= 8) layout only."""
+        """The C kernels handle the uint8 (B <= 8) layout only."""
         return self.w_lo.dtype == np.uint8
 
 
@@ -252,6 +251,28 @@ class SconnaEngine:
         return pool
 
     # -- main kernel -----------------------------------------------------
+    def remainder_kernel(self, plan: SconnaLayerPlan, p: int) -> str:
+        """The remainder kernel for ``plan`` at ``p`` output pixels.
+
+        The one kernel rule: ``cols`` (column-layout C kernel,
+        vectorised over pixels) for P >= 8; ``split`` (one-pass
+        sign-split C kernel over contraction rows) for P < 8, where too
+        few pixels fill a vector; ``numpy`` (chunked broadcast) when the
+        native kernel is disabled or missing, or the plan needs the
+        uint16 low-bits layout (B > 8).  All three compute the same
+        exact integer sums.
+        """
+        ready = self._native_ready
+        if ready is None:
+            # memoized: the library load outcome is stable for the
+            # process lifetime, and the per-call env check was hot.  A
+            # later REPRO_NATIVE=0 still takes effect for correctness -
+            # the kernel wrappers re-check and fall back to NumPy.
+            ready = self._native_ready = native.native_available()
+        if not (self.use_native and ready and plan.native_eligible):
+            return "numpy"
+        return "cols" if p >= 8 else "split"
+
     def matmul(
         self,
         plan: SconnaLayerPlan,
@@ -259,8 +280,6 @@ class SconnaEngine:
         error_model: SconnaErrorModel | None = None,
         *,
         out: "np.ndarray | None" = None,
-        matmul_kind: str = "blas",
-        remainder_kind: str = "auto",
         profile: "list | None" = None,
     ) -> np.ndarray:
         """Count-domain SC matmul with per-psum-group ADC error.
@@ -270,52 +289,40 @@ class SconnaEngine:
         :func:`sconna_matmul_reference`.
 
         ``out`` (optional) is a preallocated float64 ``(B, L, P)`` result
-        buffer; ``matmul_kind``/``remainder_kind`` select autotuned
-        kernel variants (see :meth:`_remainder`) - every variant computes
-        exact integer sums, so the choice can never change the result.
-        ``profile`` (optional) collects ``(name, start_s, end_s, tags)``
-        timing tuples for the BLAS and remainder terms; timing reads the
-        clock around unchanged arithmetic, so results stay bit-identical
-        with profiling on or off.
+        buffer.  ``profile`` (optional) collects
+        ``(name, start_s, end_s, tags)`` timing tuples for the BLAS and
+        remainder terms; timing reads the clock around unchanged
+        arithmetic, so results stay bit-identical with profiling on or
+        off.
         """
         b, q, p = cols.shape
         if q != plan.n_in:
             raise ValueError(f"cols Q={q} does not match plan Q={plan.n_in}")
         l = plan.n_out
-        shift, mask = plan.shift, plan.mask
         apply_error = error_model is not None and not error_model.ideal()
 
-        remainder_kind = self._resolve_remainder_kind(plan, remainder_kind)
-        af, a_lo = self._load_activations(plan, cols, remainder_kind)
+        kind = self.remainder_kernel(plan, p)
+        af, a_lo = self._load_activations(plan, cols, kind)
         rem = self.pool.get("rem", (b, 2 * l, p), np.int32)
         s_buf = self.pool.get("s", (b, 2 * l, p), np.float64)
         if out is None:
             out = np.zeros((b, l, p), dtype=np.float64)
         else:
             out.fill(0.0)
-        inv_scale = 1.0 / (1 << shift)
+        inv_scale = 1.0 / (1 << plan.shift)
         for sl in plan.group_slices:
             # BLAS term: exact integer sums in float64.
             t0 = time.monotonic() if profile is not None else 0.0
-            if matmul_kind == "einsum":
-                s = np.einsum(
-                    "lq,bqp->blp", plan.w_stacked[:, sl], af[:, sl, :],
-                    out=s_buf,
-                )
-            else:
-                s = np.matmul(
-                    plan.w_stacked[None, :, sl], af[:, sl, :], out=s_buf
-                )
+            s = np.matmul(plan.w_stacked[None, :, sl], af[:, sl, :], out=s_buf)
             if profile is not None:
                 t1 = time.monotonic()
-                profile.append(("engine.matmul", t0, t1,
-                                {"kind": matmul_kind}))
+                profile.append(("engine.matmul", t0, t1, {}))
                 t0 = t1
             # remainder term: fused native kernel or chunked broadcast.
-            self._remainder(plan, a_lo, sl, rem, remainder_kind)
+            self._remainder(plan, a_lo, sl, rem, kind)
             if profile is not None:
                 profile.append(("engine.remainder", t0, time.monotonic(),
-                                {"kind": remainder_kind}))
+                                {"kind": kind}))
             np.subtract(s, rem, out=s)
             s *= inv_scale  # exact: s - rem is a multiple of 2**B
             if apply_error:
@@ -330,8 +337,6 @@ class SconnaEngine:
         cols: np.ndarray,
         *,
         out: "np.ndarray | None" = None,
-        matmul_kind: str = "blas",
-        remainder_kind: str = "auto",
         profile: "list | None" = None,
     ) -> np.ndarray:
         """Ideal-datapath SC matmul: half the BLAS and remainder work.
@@ -353,8 +358,8 @@ class SconnaEngine:
             raise ValueError(f"cols Q={q} does not match plan Q={plan.n_in}")
         l = plan.n_out
 
-        remainder_kind = self._resolve_remainder_kind(plan, remainder_kind)
-        af, a_lo = self._load_activations(plan, cols, remainder_kind)
+        kind = self.remainder_kernel(plan, p)
+        af, a_lo = self._load_activations(plan, cols, kind)
         rem = self.pool.get("rem", (b, 2 * l, p), np.int32)
         s_buf = self.pool.get("s_signed", (b, l, p), np.float64)
         if out is None:
@@ -365,23 +370,15 @@ class SconnaEngine:
         inv_scale = 1.0 / (1 << plan.shift)
         for sl in plan.group_slices:
             t0 = time.monotonic() if profile is not None else 0.0
-            if matmul_kind == "einsum":
-                s = np.einsum(
-                    "lq,bqp->blp", plan.w_float[:, sl], af[:, sl, :], out=s_buf
-                )
-            else:
-                s = np.matmul(
-                    plan.w_float[None, :, sl], af[:, sl, :], out=s_buf
-                )
+            s = np.matmul(plan.w_float[None, :, sl], af[:, sl, :], out=s_buf)
             if profile is not None:
                 t1 = time.monotonic()
-                profile.append(("engine.matmul", t0, t1,
-                                {"kind": matmul_kind}))
+                profile.append(("engine.matmul", t0, t1, {}))
                 t0 = t1
-            self._remainder(plan, a_lo, sl, rem, remainder_kind)
+            self._remainder(plan, a_lo, sl, rem, kind)
             if profile is not None:
                 profile.append(("engine.remainder", t0, time.monotonic(),
-                                {"kind": remainder_kind}))
+                                {"kind": kind}))
             np.subtract(s, rem[:, :l, :], out=s)
             s += rem[:, l:, :]
             if single:
@@ -391,39 +388,13 @@ class SconnaEngine:
                 out += s
         return out
 
-    def _resolve_remainder_kind(self, plan: SconnaLayerPlan, kind: str) -> str:
-        """Downgrade a variant request the current plan/build can't run.
-
-        ``cols`` and ``split`` need the sign-split plan arrays plus the
-        native library; a pre-tuned choice persisted on one machine must
-        degrade gracefully (to ``auto``: stacked native else numpy) when
-        loaded on another.
-        """
-        if kind not in ("cols", "split"):
-            return kind
-        ready = self._native_ready
-        if ready is None:
-            # memoized: the library load outcome is stable for the
-            # process lifetime, and the per-call env check was hot.  A
-            # later REPRO_NATIVE=0 still takes effect for correctness -
-            # the kernel wrappers re-check and fall back to NumPy.
-            ready = self._native_ready = native.native_available()
-        if not (
-            self.use_native
-            and plan.native_eligible
-            and plan.w_pos_mask is not None
-            and ready
-        ):
-            return "auto"
-        return kind
-
     def _load_activations(
-        self, plan: SconnaLayerPlan, cols: np.ndarray, kind: str = "auto"
+        self, plan: SconnaLayerPlan, cols: np.ndarray, kind: str
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Per-call activation views from the pool: exact float64 for the
         BLAS term, low bits for the remainder term.  Row-contraction
-        variants want the low bits transposed to ``(B, P, Q)``; the
-        ``cols`` variant consumes the native ``(B, Q, P)`` layout and so
+        kernels want the low bits transposed to ``(B, P, Q)``; the
+        ``cols`` kernel consumes the native ``(B, Q, P)`` layout and so
         skips the transposed copy."""
         b, q, p = cols.shape
         if cols.dtype == np.float64 and cols.flags.c_contiguous:
@@ -453,37 +424,27 @@ class SconnaEngine:
         rem: np.ndarray,
         kind: str,
     ) -> None:
-        """Fill ``rem`` for the group ``sl`` with the requested kernel
-        variant: ``cols`` (column-layout C kernel, vectorised over
-        pixels), ``split`` (one-pass sign-split C kernel), ``native``
-        (stacked C kernel), ``numpy`` (chunked broadcast).  ``auto``
-        preserves the per-layer reference behaviour (stacked native else
-        numpy).  All variants produce identical int32 sums; kind must
-        already be resolved via :meth:`_resolve_remainder_kind` so the
-        activation layout matches.
+        """Fill ``rem`` for the group ``sl`` with ``kind``'s kernel (see
+        :meth:`remainder_kernel`); ``a_lo`` is in that kernel's layout.
+        Every kernel produces identical int32 sums, so a native kernel
+        that is gone by call time (``REPRO_NATIVE=0`` set mid-process)
+        falls back to NumPy without changing a bit.
         """
         mask = plan.mask
-        if self.use_native and plan.native_eligible and kind != "numpy":
-            if kind == "cols":
-                if native.remainder_group_sums_cols(
-                    a_lo, plan.w_mag_lo, plan.w_pos_mask,
-                    sl.start, sl.stop, mask, rem,
-                ):
-                    return
-            elif kind == "split":
-                if native.remainder_group_sums_split(
-                    a_lo, plan.w_mag_lo, plan.w_pos_mask,
-                    sl.start, sl.stop, mask, rem,
-                ):
-                    return
-            if kind != "cols" and native.remainder_group_sums(
-                a_lo, plan.w_lo, sl.start, sl.stop, mask, rem
+        if kind == "cols":
+            if native.remainder_group_sums_cols(
+                a_lo, plan.w_mag_lo, plan.w_pos_mask,
+                sl.start, sl.stop, mask, rem,
             ):
                 return
-        # the NumPy fallback wants the (B, P, Q) row layout; give it a
-        # transposed view when the activations were loaded cols-style
-        a_rows = a_lo.transpose(0, 2, 1) if kind == "cols" else a_lo
-        _remainder_fallback(a_rows, plan.w_lo, sl, mask, rem)
+            # the NumPy fallback wants the (B, P, Q) row layout
+            a_lo = a_lo.transpose(0, 2, 1)
+        elif kind == "split" and native.remainder_group_sums_split(
+            a_lo, plan.w_mag_lo, plan.w_pos_mask,
+            sl.start, sl.stop, mask, rem,
+        ):
+            return
+        _remainder_fallback(a_lo, plan.w_lo, sl, mask, rem)
 
 
 def _remainder_fallback(
@@ -525,15 +486,21 @@ def sconna_matmul_reference(
     group: int,
     error_model: SconnaErrorModel | None = None,
 ) -> np.ndarray:
-    """The seed per-output-channel implementation (golden reference).
+    """The seed per-output-channel implementation: the golden oracle.
 
-    Kept verbatim for the bit-exactness property tests and as the
-    fallback for configurations outside the vectorized engine's exactness
+    The per-layer ``forward(..., fused=False)`` path runs on it, and so
+    do configurations outside the vectorized engine's exactness
     envelope.  ``cols``: (B, Q, P) unsigned activations; ``w_flat``:
     (L, Q) signed weights.  Returns float (B, L, P) signed counts.
+
+    The ADC noise is drawn once per psum group over the stacked
+    ``[pos; neg]`` ``(B, 2L, P)`` counts - :meth:`SconnaEngine.matmul`'s
+    draw order - so a seeded error model gives both the same bits.
     """
     b, q, p = cols.shape
-    l = w_flat.shape[0]
+    l, q_w = w_flat.shape
+    if q != q_w:
+        raise ValueError(f"cols Q={q} does not match weights Q={q_w}")
     shift = precision_bits
     w_mag = np.abs(w_flat)
     w_pos = w_flat > 0
@@ -541,15 +508,13 @@ def sconna_matmul_reference(
     for start in range(0, q, group):
         sl = slice(start, min(start + group, q))
         a_chunk = cols[:, sl, :]
-        pos = np.empty((b, l, p), dtype=np.int64)
-        neg = np.empty((b, l, p), dtype=np.int64)
+        counts = np.empty((b, 2 * l, p), dtype=np.int64)  # [pos; neg]
         for li in range(l):
             prods = (a_chunk * w_mag[li, sl][None, :, None]) >> shift
             mask = w_pos[li, sl][None, :, None]
-            pos[:, li, :] = (prods * mask).sum(axis=1)
-            neg[:, li, :] = (prods * ~mask).sum(axis=1)
+            counts[:, li, :] = (prods * mask).sum(axis=1)
+            counts[:, l + li, :] = (prods * ~mask).sum(axis=1)
         if error_model is not None and not error_model.ideal():
-            pos = error_model.apply_to_counts(pos)
-            neg = error_model.apply_to_counts(neg)
-        out += pos.astype(np.float64) - neg.astype(np.float64)
+            counts = error_model.apply_to_counts(counts)
+        out += counts[:, :l].astype(np.float64) - counts[:, l:].astype(np.float64)
     return out

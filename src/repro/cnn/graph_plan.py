@@ -1,9 +1,9 @@
 """Whole-network fused execution plans (graph-level compiler).
 
-The per-layer engine runs each quantized layer as an island: float64
-activations flow between layers, every layer re-quantizes from float,
-and every kernel choice is hard-coded.  This module compiles the whole
-layer sequence into a :class:`NetworkPlan` - fused
+The per-layer path runs each quantized layer as an island: float64
+activations flow between layers and every layer re-quantizes from
+float.  This module compiles the whole layer sequence into a
+:class:`NetworkPlan` - fused
 quantize -> im2col -> count-matmul -> remainder -> requantize chains
 with a single buffer-lifetime plan - and executes it with inter-layer
 activations held in preallocated *integer* workspaces.
@@ -20,9 +20,9 @@ float and re-quantizes at the next layer's input.  The dequantize ->
 bias -> requantize chain between two matmuls replays the reference's
 exact float64 op sequence (same values; in-place ops on a pooled
 scratch), and the count matmuls themselves are exact-integer sums in
-float64, so *every* kernel variant the autotuner can pick produces the
-same bits.  ``tests/test_cnn_graph_plan.py`` locks fused == per-layer
-for every zoo model in int8 and sconna (ideal and seeded) modes.
+float64, so every remainder kernel produces the same bits.
+``tests/test_cnn_graph_plan.py`` locks fused == per-layer for every
+zoo model in int8 and sconna (ideal and seeded) modes.
 
 **Buffer-lifetime plan.**  At shape-program build time the compiler
 walks the step sequence (entry quantize, integer pools, im2col, count
@@ -35,23 +35,22 @@ tensor-sized allocations**: integer grids, column buffers, and count
 buffers all live in the arena; the engine's own float64 workspaces
 (``af``/``a_lo``/``rem``/``s``) are pooled by the engine itself.
 
-**Autotuning.**  Per (stage, shape) the builder times the engine's
-kernel variants - BLAS vs einsum for the matmul term; column-layout /
-sign-split / stacked native C / NumPy for the remainder term - on the
-real pooled buffers and records the winner in the model's ``autotune``
-dict, which :mod:`repro.cnn.serialization` persists so a served model
-loads pre-tuned.  ``REPRO_AUTOTUNE=0`` pins deterministic defaults and
-ignores stored choices.  Because every variant computes the same exact
-integer sums, autotuning can never change logits - only wall time.
+**Kernel rule.**  Every count matmul is one BLAS call; each sconna
+stage's remainder kernel comes from the engine's shape rule
+(:meth:`~repro.cnn.engine.SconnaEngine.remainder_kernel`: column-layout
+C for P >= 8 output pixels, sign-split C below, NumPy without the
+native kernel).  No timing pass runs at plan time.  The picks are
+recorded, not persisted, in the model's ``autotune`` dict so benchmarks
+and operators can see what runs.
 
-The per-layer path in :class:`~repro.cnn.inference.QuantizedModel`
-remains untouched as the bit-exactness reference; ``forward(...,
+The per-layer path in :class:`~repro.cnn.inference.QuantizedModel` is
+the oracle - quantize, im2col, exact integer contraction or
+:func:`~repro.cnn.engine.sconna_matmul_reference`; ``forward(...,
 fused=False)`` forces it.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -60,17 +59,6 @@ import numpy as np
 
 from repro.cnn.functional import conv_output_hw, im2col, max_pool2d
 from repro.cnn.micro import Flatten, MaxPool2d, ReLU
-from repro.utils import native
-
-AUTOTUNE_ENV = "REPRO_AUTOTUNE"
-
-_MATMUL_KINDS = ("blas", "einsum")
-_REMAINDER_KINDS = ("cols", "split", "native", "auto", "numpy")
-
-
-def autotune_enabled() -> bool:
-    """Timing-based variant selection is on unless ``REPRO_AUTOTUNE=0``."""
-    return os.environ.get(AUTOTUNE_ENV, "1") != "0"
 
 
 class _Unsupported(Exception):
@@ -167,8 +155,6 @@ class _StageExec:
     #: requantize target: (next_scale, levels, grid_ref, spatial_shape),
     #: or None when this is the final stage
     requant: "tuple | None" = None
-    matmul_kind: str = "blas"
-    remainder_kind: str = "auto"
     pre_steps: "list[tuple]" = field(default_factory=list)
 
 
@@ -227,6 +213,7 @@ class _ShapeProgram:
         )
         self.entry_ref = cur
         n_stages = len(self.net.stages)
+        picks: "dict[str, dict]" = {}
         for si, stage in enumerate(self.net.stages):
             pre_steps: "list[tuple]" = []
             for oi, op in enumerate(stage.pre_ops):
@@ -282,6 +269,10 @@ class _ShapeProgram:
                 plan = model._plan_for(layer)
                 if plan is None:
                     raise _Unsupported("outside the vectorized envelope")
+                picks[f"{stage.index}:sconna"] = {
+                    "q": q_len, "p": p,
+                    "remainder": model._engine.remainder_kernel(plan, p),
+                }
             else:
                 # the float64 BLAS contraction is exact only below 2**53
                 if q_len * (1 << (2 * bits)) >= 2**53:
@@ -357,109 +348,11 @@ class _ShapeProgram:
                     pre_steps=pre_steps,
                 )
             )
-        if mode == "sconna":
-            self._tune()
-
-    # -- autotuning ------------------------------------------------------
-    def _default_kinds(self, stage: _StageExec) -> "tuple[str, str]":
-        """Deterministic pinned choice (``REPRO_AUTOTUNE=0``): BLAS plus
-        the column-layout remainder kernel for pixel-parallel shapes."""
-        plan = stage.plan
-        split_ok = (
-            plan is not None
-            and plan.w_pos_mask is not None
-            and self.model._engine.use_native
-            and native.native_available()
-        )
-        if split_ok:
-            p = stage.out_ref.shape[2]
-            return "blas", ("cols" if p >= 8 else "split")
-        return "blas", "auto"
-
-    def _tune(self) -> None:
-        """Resolve each sconna stage's kernel variants.
-
-        Order of precedence: pinned defaults when autotuning is off; a
-        persisted choice whose (Q, P) still matches this stage (so a
-        registry-loaded model never re-times); otherwise time every
-        available variant on the real pooled buffers and persist the
-        winner in ``model.autotune``.
-        """
-        model = self.model
-        tune = autotune_enabled()
-        for stage in self.stages:
-            if not tune:
-                stage.matmul_kind, stage.remainder_kind = self._default_kinds(
-                    stage
-                )
-                continue
-            b, l, p = stage.out_ref.shape
-            q = stage.plan.n_in
-            key = f"{self._stage_key(stage)}:sconna"
-            stored = model.autotune.get(key)
-            if (
-                isinstance(stored, dict)
-                and stored.get("q") == q
-                and stored.get("p") == p
-                and stored.get("matmul") in _MATMUL_KINDS
-                and stored.get("remainder") in _REMAINDER_KINDS
-            ):
-                stage.matmul_kind = stored["matmul"]
-                stage.remainder_kind = stored["remainder"]
-                continue
-            mk, rk = self._time_stage(stage)
-            stage.matmul_kind, stage.remainder_kind = mk, rk
-            with model._plan_lock:
-                model.autotune[key] = {
-                    "q": int(q), "p": int(p), "matmul": mk, "remainder": rk,
-                }
-
-    def _stage_key(self, stage: _StageExec) -> int:
-        for s in self.net.stages:
-            if s.layer is stage.layer:
-                return s.index
-        return -1
-
-    def _time_stage(self, stage: _StageExec) -> "tuple[str, str]":
-        eng = self.model._engine
-        plan = stage.plan
-        cols = (
-            self._view(stage.cols_ref)
-            if stage.cols_ref is not None
-            else self._view(stage.in_ref).reshape(stage.out_ref.shape[0], -1, 1)
-        )
-        out = self._view(stage.out_ref)
-        cols[...] = 0  # garbage-free operands for stable timings
-        if (
-            plan.w_pos_mask is not None
-            and eng.use_native
-            and native.native_available()
-        ):
-            # the chunked-broadcast fallback never beats a native kernel;
-            # don't waste plan time measuring it
-            cand_r = ["cols", "split", "auto"]
-        else:
-            cand_r = ["auto"]
-        best = None
-        for rk in cand_r:
-            for mk in _MATMUL_KINDS:
-                def run(mk=mk, rk=rk):
-                    eng.matmul_ideal(
-                        plan, cols, out=out, matmul_kind=mk, remainder_kind=rk
-                    )
-                run()  # warm the pools / JIT the code paths
-                dt = min(_timed(run), _timed(run))
-                if best is None or dt < best[0]:
-                    best = (dt, mk, rk)
-        return best[1], best[2]
+        # written once the whole program compiled; program builds are
+        # serialized by the NetworkPlan lock
+        model.autotune.update(picks)
 
     # -- execution -------------------------------------------------------
-    def _view(self, ref: _BufRef) -> np.ndarray:
-        base = self.model._engine.pool.get(
-            f"gp{ref.slot}", (self.planner.caps[ref.slot],), np.uint8
-        )
-        return base[: ref.nbytes].view(ref.dtype).reshape(ref.shape)
-
     def _resolved(self) -> "tuple[list, list]":
         """This thread's arena views, resolved once and cached.
 
@@ -597,19 +490,11 @@ class _ShapeProgram:
                 cols = src.reshape(*src.shape, 1)
             if self.mode == "sconna":
                 if apply_err:
-                    eng.matmul(
-                        stage.plan, cols, error_model, out=counts,
-                        matmul_kind=stage.matmul_kind,
-                        remainder_kind=stage.remainder_kind,
-                        profile=profile,
-                    )
+                    eng.matmul(stage.plan, cols, error_model, out=counts,
+                               profile=profile)
                 else:
-                    eng.matmul_ideal(
-                        stage.plan, cols, out=counts,
-                        matmul_kind=stage.matmul_kind,
-                        remainder_kind=stage.remainder_kind,
-                        profile=profile,
-                    )
+                    eng.matmul_ideal(stage.plan, cols, out=counts,
+                                     profile=profile)
             else:
                 t0 = clock() if profile is not None else 0.0
                 if stage.kind == "conv":
@@ -666,12 +551,6 @@ class _ShapeProgram:
     @property
     def arena_bytes(self) -> int:
         return sum(self.planner.caps)
-
-
-def _timed(fn) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
 
 
 def _max_pool_int(src: np.ndarray, dst: np.ndarray, kernel: int, stride: int):

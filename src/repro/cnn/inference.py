@@ -14,6 +14,14 @@ run in three modes:
   MAPE ADC error model, then dequantised with the extra ``2**B`` scale.
 
 Table V is the Top-1/Top-5 gap between ``int8`` and ``sconna``.
+
+``int8`` and ``sconna`` run on one production path, the fused
+whole-network plan (:mod:`repro.cnn.graph_plan`).  The per-layer path
+(``forward(..., fused=False)``, and the fallback for whatever the plan
+cannot run) is the oracle: the seed math, quantize -> ``im2col`` ->
+exact int64 ``np.matmul`` (int8) or
+:func:`~repro.cnn.engine.sconna_matmul_reference` (sconna).  The two
+agree bit for bit, seeded ADC noise included.
 """
 
 from __future__ import annotations
@@ -75,9 +83,9 @@ class QuantizedModel:
         self.config = config or SconnaConfig(precision_bits=precision_bits)
         self._engine = SconnaEngine()
         self._plan_lock = threading.Lock()
-        #: persisted per-stage kernel-variant choices (see
-        #: :mod:`repro.cnn.graph_plan`); saved in the NPZ meta and the
-        #: registry manifest so a served model loads pre-tuned
+        #: each fused sconna stage's remainder-kernel pick, keyed
+        #: ``"<structure index>:sconna"`` (see :mod:`repro.cnn.graph_plan`);
+        #: a record of what runs, never persisted
         self.autotune: "dict[str, dict]" = {}
         self._network_plan: "object | None" = None
         for item in structure:
@@ -94,8 +102,7 @@ class QuantizedModel:
         state = self.__dict__.copy()
         del state["_plan_lock"]
         # the network plan holds locks and cached shape programs; it is
-        # rebuilt (and re-reads the persisted autotune choices) on first
-        # fused forward in the new process
+        # rebuilt on first fused forward in the new process
         state["_network_plan"] = None
         return state
 
@@ -197,10 +204,10 @@ class QuantizedModel:
 
         ``fused`` selects the execution strategy: ``None`` (default)
         uses the whole-network fused plan when this model/mode/shape
-        supports it and falls back to the per-layer reference path
-        otherwise; ``False`` forces the reference path; ``True`` demands
-        the fused path and raises if it cannot run.  Both paths return
-        bit-identical logits.  ``trace``, when a list, collects the
+        supports it and falls back to the per-layer oracle otherwise;
+        ``False`` forces the oracle; ``True`` demands the fused path and
+        raises if it cannot run.  Both paths return bit-identical
+        logits.  ``trace``, when a list, collects the
         fused path's dtype checkpoints at the inter-layer seams.
         ``profile``, when a list, collects ``(name, start_s, end_s,
         tags)`` per-stage timing tuples (quantize / im2col / matmul /
@@ -264,77 +271,33 @@ class QuantizedModel:
                 )
             return linear(x, fl.weight, fl.bias)
 
-        scale = layer.act_params.scale * layer.weight_params.scale
-        pool = self._engine.pool
-
-        if layer.kind == "conv":
-            l, c, k, _ = layer.weight_q.shape
-            b = x.shape[0]
-            out_h, out_w = conv_output_hw(
-                x.shape[2], x.shape[3], k, layer.stride, layer.padding
-            )
-            q_len, p = c * k * k, out_h * out_w
-            if mode == "int8":
-                # the BLAS path is exact only while the full-Q integer
-                # contraction stays below float64's 2**53 exact range
-                # (independent of the sconna engine's group envelope)
-                if q_len * (1 << (2 * self.precision_bits)) < 2**53:
-                    # fused quantization: the integer activation grid is
-                    # built in-place in a float64 workspace (values are
-                    # exact small integers), skipping quantize()'s int64
-                    # intermediate, and gathered straight into the
-                    # matmul's reusable column buffer
-                    aq_f = pool.get("aq_f", x.shape, np.float64)
-                    np.maximum(x, 0.0, out=aq_f)
-                    aq_f /= layer.act_params.scale
-                    np.rint(aq_f, out=aq_f)
-                    np.clip(aq_f, 0.0, float(layer.act_params.levels), out=aq_f)
-                    cols_f = im2col(
-                        aq_f, k, layer.stride, layer.padding,
-                        out=pool.get("cols_f", (b, q_len, p), np.float64),
-                    )
-                    w_f = (
-                        layer.plan.w_float
-                        if layer.plan is not None
-                        else layer.weight_q.reshape(l, -1).astype(np.float64)
-                    )
-                    mm = np.matmul(
-                        w_f[None], cols_f,
-                        out=pool.get("mm", (b, l, p), np.float64),
-                    )
-                    out = mm * scale
-                else:
-                    # keep the seed's exact integer contraction
-                    a_q = quantize(np.maximum(x, 0.0), layer.act_params)
-                    cols = im2col(a_q, k, layer.stride, layer.padding)
-                    w_flat = layer.weight_q.reshape(l, -1)
-                    out = np.einsum("lq,bqp->blp", w_flat, cols) * scale
-            else:
-                a_q = quantize(np.maximum(x, 0.0), layer.act_params)
-                plan = self._plan_for(layer)
-                cols = im2col(
-                    a_q, k, layer.stride, layer.padding,
-                    out=pool.get("cols", (b, q_len, p), np.int64),
-                )
-                counts = self._sconna_counts(cols, layer, plan, error_model)
-                out = counts * (scale * (1 << self.precision_bits))
-            out = out.reshape(b, l, out_h, out_w)
-            if layer.bias is not None:
-                out = out + layer.bias.reshape(1, l, 1, 1)
-            return out
-
-        # linear: treat activations as (B, Q, 1) columns
+        # the oracle: quantize, im2col (a linear layer's activations are
+        # (B, Q, 1) columns), then the exact integer contraction or the
+        # seed per-channel count-domain kernel
         a_q = quantize(np.maximum(x, 0.0), layer.act_params)
-        if mode == "int8":
-            out = (a_q @ layer.weight_q.T).astype(np.float64) * scale
+        l = layer.weight_q.shape[0]
+        w_flat = layer.weight_q.reshape(l, -1)
+        if layer.kind == "conv":
+            k = layer.weight_q.shape[2]
+            cols = im2col(a_q, k, layer.stride, layer.padding)
+            out_shape = (x.shape[0], l, *conv_output_hw(
+                x.shape[2], x.shape[3], k, layer.stride, layer.padding
+            ))
         else:
             cols = a_q[:, :, None]
-            plan = self._plan_for(layer)
-            counts = self._sconna_counts(cols, layer, plan, error_model)
-            out = counts[:, :, 0] * (scale * (1 << self.precision_bits))
+            out_shape = (x.shape[0], l)
+        scale = layer.act_params.scale * layer.weight_params.scale
+        if mode == "int8":
+            out = np.matmul(w_flat, cols).astype(np.float64) * scale
+        else:
+            counts = sconna_matmul_reference(
+                cols, w_flat, self.precision_bits,
+                psum_group_size(self.config), error_model,
+            )
+            out = counts * (scale * (1 << self.precision_bits))
         if layer.bias is not None:
-            out = out + layer.bias
-        return out
+            out = out + layer.bias[:, None]
+        return out.reshape(out_shape)
 
     # -- count-domain kernels ----------------------------------------------
     def _plan_for(self, layer: QuantLayer) -> SconnaLayerPlan | None:
@@ -369,35 +332,6 @@ class QuantizedModel:
                     )
                     layer.plan = plan
         return plan
-
-    def _sconna_counts(
-        self,
-        cols: np.ndarray,
-        layer: QuantLayer,
-        plan: SconnaLayerPlan | None,
-        error_model: SconnaErrorModel | None,
-    ) -> np.ndarray:
-        l = layer.weight_q.shape[0]
-        if plan is not None:
-            return self._engine.matmul(plan, cols, error_model)
-        return self._sconna_matmul_reference(
-            cols, layer.weight_q.reshape(l, -1), error_model
-        )
-
-    def _sconna_matmul_reference(
-        self,
-        cols: np.ndarray,
-        w_flat: np.ndarray,
-        error_model: SconnaErrorModel | None,
-    ) -> np.ndarray:
-        """The seed per-output-channel implementation (golden reference)."""
-        return sconna_matmul_reference(
-            cols,
-            w_flat,
-            self.precision_bits,
-            psum_group_size(self.config),
-            error_model,
-        )
 
     # -- evaluation ----------------------------------------------------------
     def predict_logits(

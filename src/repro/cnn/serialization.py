@@ -154,12 +154,6 @@ def _write_archive(qmodel, target) -> None:
         "config": _config_to_dict(qmodel.config),
         "structure": records,
     }
-    # persisted autotune choices (additive, version-1 compatible): a
-    # loaded model starts pre-tuned instead of re-timing kernel variants
-    # on its first forward.  Stale entries (a shape that no longer
-    # matches) are re-validated and re-tuned by the graph planner.
-    if getattr(qmodel, "autotune", None):
-        meta["autotune"] = qmodel.autotune
     np.savez_compressed(target, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
@@ -193,17 +187,14 @@ def _read_archive(source, label: str):
                 structure.append(Flatten())
             else:
                 raise ValueError(f"{label}: unknown structure record {kind!r}")
-    qmodel = QuantizedModel(
+    # archives from before the fixed kernel rule may carry an "autotune"
+    # map of timed kernel picks; the engine's rule replaces it, so it is
+    # ignored like any other unknown meta key
+    return QuantizedModel(
         structure,
         precision_bits=int(meta["precision_bits"]),
         config=_config_from_dict(meta["config"]),
     )
-    autotune = meta.get("autotune")
-    if isinstance(autotune, dict):
-        qmodel.autotune = {
-            str(k): dict(v) for k, v in autotune.items() if isinstance(v, dict)
-        }
-    return qmodel
 
 
 def save_quantized_model(qmodel, path: "str | Path") -> Path:

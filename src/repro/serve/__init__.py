@@ -19,9 +19,7 @@ cost):
 * :mod:`repro.serve.shm`       - the shared-memory ring transport the
   process backend moves batch tensors and logits through (descriptors
   on the pipe, payload bytes in ``/dev/shm``),
-* :mod:`repro.serve.workers`   - the thread worker pool behind
-  :class:`ThreadBackend`,
-* :mod:`repro.serve.service`   - the :class:`SconnaService` facade
+* :mod:`repro.serve.service`  - the :class:`SconnaService` facade
   (in-process ``predict``) plus :func:`install_shutdown_handlers` for
   signal-driven draining,
 * :mod:`repro.serve.admission` - :class:`AdmissionPolicy` load shedding
@@ -114,7 +112,6 @@ from repro.serve.telemetry import (
     parse_exposition,
     render_exposition,
 )
-from repro.serve.workers import WorkerPool
 
 __all__ = [
     "AdmissionController",
@@ -174,5 +171,4 @@ __all__ = [
     "TraceStore",
     "parse_exposition",
     "render_exposition",
-    "WorkerPool",
 ]

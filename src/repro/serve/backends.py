@@ -10,10 +10,10 @@ coalesced batch exists" to "its logits exist" sits behind the
 
 Two implementations:
 
-* :class:`ThreadBackend` - the classic single-process path: a
-  :class:`~repro.serve.workers.WorkerPool` of threads sharing the
-  parent's models.  Bit-identical to the pre-seam service (same
-  stacking, same :class:`~repro.stochastic.error_models.PerRequestErrorModels`
+* :class:`ThreadBackend` - the classic single-process path: a pool of
+  daemon threads sharing the parent's models.  Bit-identical to the
+  pre-seam service (same stacking, same
+  :class:`~repro.stochastic.error_models.PerRequestErrorModels`
   construction, same per-request deterministic ADC noise).
 * :class:`ProcessBackend` - N *shard worker processes*, mirroring the
   paper's array of independent TeNOCs at the serving layer: each shard
@@ -67,7 +67,6 @@ from repro.serve.shm import (
     ShmArena,
     attach_arena,
 )
-from repro.serve.workers import WorkerPool
 from repro.stochastic.error_models import PerRequestErrorModels, SconnaErrorModel
 
 
@@ -221,22 +220,69 @@ class ExecutionBackend(abc.ABC):
         return {"kind": self.kind}
 
 
+#: task-queue marker that stops one worker thread
+_STOP = object()
+
+
 class ThreadBackend(ExecutionBackend):
     """In-process execution on a thread pool (the historical datapath).
 
-    The engine's hot path releases the GIL inside BLAS and the native
-    remainder kernel, so a few threads exploit whatever parallelism one
-    process can reach; per-thread warm buffers come from
-    :class:`~repro.cnn.engine.SconnaEngine`'s thread-local pools.
+    ``n_workers`` daemon threads drain one task queue.  The engine's hot
+    path releases the GIL inside BLAS and the native remainder kernel,
+    so a few threads exploit whatever parallelism one process can
+    reach; per-thread warm buffers come from
+    :class:`~repro.cnn.engine.SconnaEngine`'s thread-local pools.  Tasks
+    route per-request failures through ``on_done``; one that raises
+    anyway only bumps ``task_errors``, so a poisoned batch cannot kill
+    a worker.
     """
 
     kind = "thread"
 
     def __init__(self, n_workers: int = 2) -> None:
-        self._pool = WorkerPool(n_workers)
+        if n_workers < 1:
+            raise ValueError("n_workers must be >= 1")
+        self.n_workers = n_workers
+        self._tasks: "queue.Queue[object]" = queue.Queue()
+        self._task_errors = 0
+        self._error_lock = threading.Lock()
         self._models: "dict[str, tuple[object, str]]" = {}
         self._closed = False
         self.metrics = ServeMetrics()
+        self._threads = [
+            threading.Thread(
+                target=self._work, name=f"sconna-worker-{i}", daemon=True
+            )
+            for i in range(n_workers)
+        ]
+        for t in self._threads:
+            t.start()
+
+    def _work(self) -> None:
+        while True:
+            task = self._tasks.get()
+            if task is _STOP:
+                return
+            try:
+                task()
+            except Exception:
+                with self._error_lock:
+                    self._task_errors += 1
+
+    def _warm(self, fn, timeout: float = 30.0) -> None:
+        """Run ``fn`` once in *every* worker thread: a barrier keeps a
+        fast worker from stealing a sibling's warm-up task."""
+        barrier = threading.Barrier(self.n_workers + 1)
+
+        def warmer() -> None:
+            try:
+                fn()
+            finally:
+                barrier.wait(timeout)
+
+        for _ in range(self.n_workers):
+            self._tasks.put(warmer)
+        barrier.wait(timeout)
 
     def add_model(
         self, name, qmodel, mode, archive=None, warm=None, placement=None
@@ -251,9 +297,7 @@ class ThreadBackend(ExecutionBackend):
             n, c, h, w = warm
             dummy = np.zeros((n, c, h, w))
             em = SconnaErrorModel(adc_mape=0.0) if mode == "sconna" else None
-            self._pool.warm(
-                lambda: qmodel.forward(dummy, mode=mode, error_model=em)
-            )
+            self._warm(lambda: qmodel.forward(dummy, mode=mode, error_model=em))
 
     def submit(self, name, batch, on_done) -> None:
         if self._closed:
@@ -313,7 +357,7 @@ class ThreadBackend(ExecutionBackend):
                 )
             )
 
-        self._pool.submit(task)
+        self._tasks.put(task)
 
     def metrics_states(self) -> "list[dict]":
         return [self.metrics.state()]
@@ -324,16 +368,22 @@ class ThreadBackend(ExecutionBackend):
     def info(self) -> dict:
         return {
             "kind": self.kind,
-            "workers": self._pool.n_workers,
-            "pending": self._pool.pending(),
-            "task_errors": self._pool.task_errors,
+            "workers": self.n_workers,
+            "pending": self._tasks.qsize(),
+            "task_errors": self._task_errors,
         }
 
     def close(self, timeout: float | None = 10.0) -> None:
+        """Drain queued tasks, then stop and join every worker."""
         if self._closed:
             return
         self._closed = True
-        self._pool.close(timeout)
+        for _ in self._threads:
+            self._tasks.put(_STOP)
+        for t in self._threads:
+            t.join(timeout)
+            if t.is_alive():
+                raise RuntimeError(f"worker {t.name} did not stop in time")
 
 
 # -- process sharding -------------------------------------------------------

@@ -48,11 +48,6 @@ class RegistryEntry:
     #: preferred shard slots under the process backend (None: every
     #: shard) - the serving layer's default placement for this model
     placement: "tuple[int, ...] | None" = None
-    #: kernel-variant choices recorded by the graph planner's autotuner
-    #: (mirrored from the archive so operators can inspect a served
-    #: model's tuning without opening the NPZ; the archive copy is what
-    #: the loaded model actually uses)
-    autotune: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         """JSON-serializable entry summary (what ``/v1/models`` lists)."""
@@ -64,7 +59,6 @@ class RegistryEntry:
             "created_at": self.created_at,
             "metadata": self.metadata,
             "placement": None if self.placement is None else list(self.placement),
-            "autotune": self.autotune,
         }
 
 
@@ -111,7 +105,6 @@ class ModelRegistry:
             created_at=time.time(),
             metadata=dict(metadata or {}),
             placement=placement,
-            autotune=dict(getattr(qmodel, "autotune", {}) or {}),
         )
         manifest = entry.as_dict()
         (self.root / f"{name}.json").write_text(json.dumps(manifest, indent=2))
@@ -138,6 +131,8 @@ class ModelRegistry:
             raise KeyError(f"no registered model named {name!r}")
         manifest = json.loads(manifest_path.read_text())
         placement = manifest.get("placement")
+        # keys this revision does not know (e.g. the "autotune" kernel
+        # picks older manifests mirrored) are ignored
         return RegistryEntry(
             name=manifest["name"],
             path=self.root / manifest["file"],
@@ -147,7 +142,6 @@ class ModelRegistry:
             metadata=manifest.get("metadata", {}),
             placement=None if placement is None
             else tuple(int(s) for s in placement),
-            autotune=manifest.get("autotune", {}) or {},
         )
 
     def load(self, name: str) -> QuantizedModel:

@@ -15,7 +15,7 @@ Design, in the order an operator cares:
   ``sha256(model | replica_url)``), and its requests prefer the top
   ``lanes_per_model`` replicas.  This is the
   :class:`~repro.serve.backends.ShardPlacement` idiom one level up:
-  a model's batching lane, warm engine buffers, and autotuned plans
+  a model's batching lane, warm engine buffers, and compiled plans
   stay hot on a small replica subset instead of being diluted across
   the whole fleet, and adding/removing a replica only remaps the
   models that hashed onto it.

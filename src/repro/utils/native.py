@@ -33,80 +33,14 @@ _SOURCE = r"""
 #include <stdint.h>
 #include <stddef.h>
 
-static inline uint32_t row_dot_wrap(const uint8_t *restrict ar,
-                                    const uint8_t *restrict wr, long q) {
-    uint32_t acc = 0;
-    long qi = 0;
-    for (; qi + 255 <= q; qi += 255) {
-        uint16_t part = 0;
-        const uint8_t *restrict a2 = ar + qi;
-        const uint8_t *restrict w2 = wr + qi;
-        for (long k = 0; k < 255; k++)
-            part += (uint8_t)(a2[k] * w2[k]);
-        acc += part;
-    }
-    {
-        uint16_t part = 0;
-        for (; qi < q; qi++)
-            part += (uint8_t)(ar[qi] * wr[qi]);
-        acc += part;
-    }
-    return acc;
-}
-
-static inline uint32_t row_dot_mask(const uint8_t *restrict ar,
-                                    const uint8_t *restrict wr, long q,
-                                    uint8_t mask) {
-    uint32_t acc = 0;
-    long qi = 0;
-    for (; qi + 255 <= q; qi += 255) {
-        uint16_t part = 0;
-        const uint8_t *restrict a2 = ar + qi;
-        const uint8_t *restrict w2 = wr + qi;
-        for (long k = 0; k < 255; k++)
-            part += (uint8_t)((uint8_t)(a2[k] * w2[k]) & mask);
-        acc += part;
-    }
-    {
-        uint16_t part = 0;
-        for (; qi < q; qi++)
-            part += (uint8_t)((uint8_t)(ar[qi] * wr[qi]) & mask);
-        acc += part;
-    }
-    return acc;
-}
-
-/* a: rows of length q at byte stride a_stride, laid out as (bn, p) rows;
-   w: (l2, q) rows at byte stride w_stride; out: (bn, l2, p) int32. */
-void rem_group_sums(const uint8_t *restrict a, long a_stride,
-                    const uint8_t *restrict w, long w_stride,
-                    int32_t *restrict out,
-                    long bn, long l2, long p, long q, uint8_t mask) {
-    for (long bi = 0; bi < bn; bi++) {
-        const uint8_t *ab = a + (size_t)bi * p * a_stride;
-        for (long li = 0; li < l2; li++) {
-            const uint8_t *wr = w + (size_t)li * w_stride;
-            int32_t *orow = out + ((size_t)bi * l2 + li) * p;
-            if (mask == 0xFF) {
-                for (long pi = 0; pi < p; pi++)
-                    orow[pi] =
-                        (int32_t)row_dot_wrap(ab + (size_t)pi * a_stride, wr, q);
-            } else {
-                for (long pi = 0; pi < p; pi++)
-                    orow[pi] = (int32_t)row_dot_mask(
-                        ab + (size_t)pi * a_stride, wr, q, mask);
-            }
-        }
-    }
-}
-
-/* Sign-split single-pass variant: one multiply per (weight, activation)
-   pair instead of two.  w_mag holds the |w| low bits for all L rows,
-   w_sgn is 0xFF where w > 0 and 0x00 elsewhere; each wrapped product is
+/* Sign-split row kernel: a holds rows of length q at byte stride
+   a_stride, laid out as (bn, p) rows.  One multiply per (weight,
+   activation) pair: w_mag holds the |w| low bits for all L rows, w_sgn
+   is 0xFF where w > 0 and 0x00 elsewhere; each wrapped product is
    steered into the positive or negative accumulation with a byte mask
-   (w == 0 rows have w_mag == 0, so both sides receive 0).  out is the
-   same (bn, 2l, p) int32 layout rem_group_sums fills from the stacked
-   (2l, q) weights: rows [0, l) positive sums, rows [l, 2l) negative. */
+   (w == 0 rows have w_mag == 0, so both sides receive 0).  out is
+   (bn, 2l, p) int32: rows [0, l) positive sums, rows [l, 2l)
+   negative.  16-bit partial sums over 255-element runs cannot wrap. */
 void rem_group_sums_split(const uint8_t *restrict a, long a_stride,
                           const uint8_t *restrict w_mag,
                           const uint8_t *restrict w_sgn, long w_stride,
@@ -160,7 +94,7 @@ void rem_group_sums_split(const uint8_t *restrict a, long a_stride,
    zero low bits (w == 0, or |w| == 2**8 whose products are exact
    multiples of 256) contribute nothing to the remainder and are skipped
    outright.  Fills the same (bn, 2l, p) int32 layout as
-   rem_group_sums. */
+   rem_group_sums_split. */
 void rem_group_sums_cols(const uint8_t *restrict a, long a_q_stride,
                          long a_b_stride,
                          const uint8_t *restrict w_mag,
@@ -258,14 +192,6 @@ def _compile() -> "ctypes.CDLL | None":
         lib = ctypes.CDLL(cache)
     except OSError:
         return None
-    lib.rem_group_sums.argtypes = [
-        ctypes.c_void_p, ctypes.c_long,
-        ctypes.c_void_p, ctypes.c_long,
-        ctypes.c_void_p,
-        ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-        ctypes.c_uint8,
-    ]
-    lib.rem_group_sums.restype = None
     lib.rem_group_sums_split.argtypes = [
         ctypes.c_void_p, ctypes.c_long,
         ctypes.c_void_p,
@@ -304,36 +230,6 @@ def native_available() -> bool:
     return get_kernel() is not None
 
 
-def remainder_group_sums(
-    a_lo: np.ndarray,
-    w_lo: np.ndarray,
-    q_start: int,
-    q_stop: int,
-    mask: int,
-    out: np.ndarray,
-) -> bool:
-    """Fused ``out[b,l,p] = sum_q (a_lo[b,p,q]*w_lo[l,q]) & mask``.
-
-    ``a_lo``: C-contiguous ``(B, P, Q)`` uint8; ``w_lo``: C-contiguous
-    ``(L2, Q)`` uint8; the contraction runs over ``q_start:q_stop``;
-    ``out``: C-contiguous ``(B, L2, P)`` int32.  Returns False (without
-    touching ``out``) when the native kernel is unavailable.
-    """
-    lib = get_kernel()
-    if lib is None:
-        return False
-    bn, p, q_total = a_lo.shape
-    l2 = w_lo.shape[0]
-    qg = q_stop - q_start
-    lib.rem_group_sums(
-        a_lo.ctypes.data + q_start, q_total,
-        w_lo.ctypes.data + q_start, w_lo.shape[1],
-        out.ctypes.data,
-        bn, l2, p, qg, mask,
-    )
-    return True
-
-
 def remainder_group_sums_split(
     a_lo: np.ndarray,
     w_mag_lo: np.ndarray,
@@ -345,12 +241,14 @@ def remainder_group_sums_split(
 ) -> bool:
     """Sign-split remainder reduction: one multiply per (w, a) pair.
 
+    ``a_lo``: C-contiguous ``(B, P, Q)`` uint8 masked low bits;
     ``w_mag_lo``: C-contiguous ``(L, Q)`` uint8 low bits of ``|w|``;
     ``w_pos_mask``: C-contiguous ``(L, Q)`` uint8, 0xFF where ``w > 0``.
-    Fills the same ``(B, 2L, P)`` int32 ``out`` layout as
-    :func:`remainder_group_sums` called with the stacked weights -
-    positive-row sums in ``out[:, :L]``, negative in ``out[:, L:]``.
-    Returns False (without touching ``out``) when unavailable.
+    The contraction runs over ``q_start:q_stop`` and fills the
+    C-contiguous ``(B, 2L, P)`` int32 ``out`` with
+    ``sum_q (a*|w|) & mask`` - positive-weight sums in ``out[:, :L]``,
+    negative in ``out[:, L:]``.  Returns False (without touching
+    ``out``) when the native kernel is unavailable.
     """
     lib = get_kernel()
     if lib is None:

@@ -27,7 +27,7 @@ from repro.cnn.datasets import N_CLASSES, generate_dataset
 from repro.core.config import SconnaConfig
 from repro.core.vdpe import SconnaVDPE
 from repro.stochastic.arithmetic import sc_vdp, sc_vdp_batch
-from repro.stochastic.error_models import SconnaErrorModel
+from repro.stochastic.error_models import PerRequestErrorModels, SconnaErrorModel
 from repro.stochastic.lut import OsmLookupTable
 from repro.utils import native
 
@@ -35,6 +35,27 @@ from repro.utils import native
 @pytest.fixture(scope="module")
 def engines():
     return SconnaEngine(use_native=True), SconnaEngine(use_native=False)
+
+
+#: each remainder kernel -> (use_native, output pixels P) the rule sends
+#: to it
+KERNEL_CASES = {"cols": (True, 12), "split": (True, 5), "numpy": (False, 12)}
+
+
+def available_kernels() -> "list[str]":
+    """The remainder kernels this environment can run."""
+    if native.native_available():
+        return list(KERNEL_CASES)
+    return [k for k, (use_native, _) in KERNEL_CASES.items() if not use_native]
+
+
+def kernel_engine(kind: str) -> "tuple[SconnaEngine, int]":
+    """An engine whose rule picks ``kind``, and the P that picks it
+    (skips the native kernels where they cannot build)."""
+    if kind not in available_kernels():
+        pytest.skip("no native kernel in this environment")
+    use_native, p = KERNEL_CASES[kind]
+    return SconnaEngine(use_native=use_native), p
 
 
 class TestBitExactEquivalence:
@@ -105,41 +126,78 @@ class TestBitExactEquivalence:
         with pytest.raises(ValueError):
             compile_layer_plan(np.zeros((2, 4), dtype=np.int64), 17, 4)
 
-    def test_model_routes_through_engine_and_falls_back(self):
-        """_sconna_counts uses the engine in-envelope, reference outside."""
+    @pytest.mark.parametrize("p", [5, 12])
+    def test_seeded_noise_matches_reference(self, engines, p):
+        """The oracle draws ADC noise in the engine's order - once per
+        psum group over the stacked [pos; neg] counts - so seeded noisy
+        counts agree bit for bit, per request too."""
+        rng = np.random.default_rng(15)
+        cols = rng.integers(0, 257, size=(4, 50, p)).astype(np.int64)
+        w = rng.integers(-256, 257, size=(6, 50)).astype(np.int64)
+        w[rng.random(w.shape) < 0.2] = 0
+        plan = compile_layer_plan(w, 8, 16)
+
+        def error_models():
+            yield SconnaErrorModel(seed=7)
+            yield PerRequestErrorModels(
+                [SconnaErrorModel(seed=s) for s in (1, 2, 3)], sizes=[1, 2, 1]
+            )
+
+        for eng in engines:
+            for ref_em, eng_em in zip(error_models(), error_models()):
+                ref = sconna_matmul_reference(cols, w, 8, 16, ref_em)
+                assert np.array_equal(ref, eng.matmul(plan, cols, eng_em))
+        ideal = sconna_matmul_reference(cols, w, 8, 16)
+        assert not np.array_equal(ideal, ref), "noise must perturb"
+
+    def test_reference_rejects_q_mismatch(self):
+        """Like SconnaEngine.matmul: a wrong-geometry request must fail,
+        not return counts."""
+        cols = np.zeros((1, 9, 2), dtype=np.int64)
+        w = np.zeros((2, 8), dtype=np.int64)
+        with pytest.raises(ValueError, match="Q=9"):
+            sconna_matmul_reference(cols, w, 8, 4)
+
+    def test_model_falls_back_to_oracle_outside_envelope(self):
+        """In the engine's envelope the fused plan runs; outside it (B=18
+        has no exact vectorized form) forward() falls back to the oracle."""
         from repro.cnn.quantize import QuantParams
 
         rng = np.random.default_rng(11)
 
-        def make_layer(qm, w):
-            dummy = QuantParams(scale=1.0, levels=w.shape[1], signed=True)
+        def linear_model(bits, w):
+            params = QuantParams(scale=1.0, levels=1 << bits, signed=True)
             layer = QuantLayer(
-                kind="linear", weight_q=w, weight_params=dummy,
-                act_params=dummy, float_layer=None,
+                kind="linear", weight_q=w, weight_params=params,
+                act_params=params, float_layer=None,
             )
-            return layer, qm._plan_for(layer)
+            return QuantizedModel([layer], precision_bits=bits), layer
 
-        # in-envelope: plan compiled, engine output bit-exact vs reference
-        qm = QuantizedModel([], precision_bits=8)
-        cols = rng.integers(0, 257, size=(2, 300, 5)).astype(np.int64)
+        # in-envelope: plan compiled, fused forward == oracle
         w = rng.integers(-256, 257, size=(6, 300)).astype(np.int64)
-        layer, plan = make_layer(qm, w)
-        assert plan is not None and layer.plan is plan
+        qm, layer = linear_model(8, w)
+        x = rng.integers(0, 257, size=(2, 300)).astype(np.float64)
+        assert layer.plan is not None
         assert np.array_equal(
-            qm._sconna_counts(cols, layer, plan, None),
-            qm._sconna_matmul_reference(cols, w, None),
+            qm.forward(x, "sconna", SconnaErrorModel(seed=3), fused=True),
+            qm.forward(x, "sconna", SconnaErrorModel(seed=3), fused=False),
         )
 
-        # outside the envelope (B=18): no plan, reference path used
-        qm18 = QuantizedModel([], precision_bits=18)
+        # outside the envelope (B=18): no plan, no fused program
         length = 1 << 18
-        cols18 = rng.integers(0, length + 1, size=(1, 9, 2)).astype(np.int64)
         w18 = rng.integers(-length, length + 1, size=(2, 9)).astype(np.int64)
-        layer18, plan18 = make_layer(qm18, w18)
-        assert plan18 is None
+        qm18, layer18 = linear_model(18, w18)
+        x18 = rng.integers(0, length + 1, size=(1, 9)).astype(np.float64)
+        ideal = SconnaErrorModel(adc_mape=0.0)
+        assert layer18.plan is None
+        with pytest.raises(ValueError, match="fused"):
+            qm18.forward(x18, "sconna", ideal, fused=True)
+        counts = sconna_matmul_reference(
+            x18.astype(np.int64)[:, :, None], w18, 18,
+            psum_group_size(qm18.config),
+        )
         assert np.array_equal(
-            qm18._sconna_counts(cols18, layer18, plan18, None),
-            qm18._sconna_matmul_reference(cols18, w18, None),
+            qm18.forward(x18, "sconna", ideal), counts[:, :, 0] * (1 << 18)
         )
 
 
@@ -326,21 +384,30 @@ class TestIm2colBufferReuse:
 
 class TestNativeKernel:
     def test_fallback_matches_native_when_available(self):
+        """The split (row layout) and cols (column layout) C kernels
+        against an int64 ground truth over a sub-range of Q."""
         if not native.native_available():
             pytest.skip("no native kernel in this environment")
         rng = np.random.default_rng(10)
-        a_lo = np.ascontiguousarray(
+        a_rows = np.ascontiguousarray(
             rng.integers(0, 256, size=(2, 5, 40)).astype(np.uint8)
         )
-        w_lo = np.ascontiguousarray(
-            rng.integers(0, 256, size=(6, 40)).astype(np.uint8)
-        )
-        out = np.empty((2, 6, 5), dtype=np.int32)
-        assert native.remainder_group_sums(a_lo, w_lo, 8, 31, 0xFF, out)
+        w = rng.integers(-256, 257, size=(3, 40)).astype(np.int64)
+        plan = compile_layer_plan(w, 8, 40)
         expect = (
-            (a_lo[:, None, :, 8:31].astype(np.int64)
-             * w_lo[None, :, None, 8:31]) % 256
+            (a_rows[:, None, :, 8:31].astype(np.int64)
+             * plan.w_lo[None, :, None, 8:31]) % 256
         ).sum(axis=-1)
+        out = np.empty((2, 6, 5), dtype=np.int32)
+        assert native.remainder_group_sums_split(
+            a_rows, plan.w_mag_lo, plan.w_pos_mask, 8, 31, 0xFF, out
+        )
+        assert np.array_equal(out.astype(np.int64), expect)
+        out = np.empty((2, 6, 5), dtype=np.int32)
+        a_cols = np.ascontiguousarray(a_rows.transpose(0, 2, 1))
+        assert native.remainder_group_sums_cols(
+            a_cols, plan.w_mag_lo, plan.w_pos_mask, 8, 31, 0xFF, out
+        )
         assert np.array_equal(out.astype(np.int64), expect)
 
     def test_env_kill_switch(self, monkeypatch):
@@ -349,77 +416,63 @@ class TestNativeKernel:
 
 
 class TestKernelVariants:
-    """Every autotunable variant computes the same exact integer sums."""
+    """Every remainder kernel the rule can pick computes the same exact
+    integer sums."""
 
-    def _case(self, seed, b=8):
+    def _case(self, seed, kind, b=8):
+        eng, p = kernel_engine(kind)
         rng = np.random.default_rng(seed)
-        batch, l, q, p = 2, 5, 43, 12
+        batch, l, q = 2, 5, 43
         length = 1 << b
         cols = rng.integers(0, length + 1, size=(batch, q, p)).astype(np.int64)
         w = rng.integers(-length, length + 1, size=(l, q)).astype(np.int64)
         w[rng.random(w.shape) < 0.2] = 0
-        return cols, w, b
+        assert eng.remainder_kernel(compile_layer_plan(w, b, 16), p) == kind
+        return eng, cols, w, b
 
-    @pytest.mark.parametrize("mk", ["blas", "einsum"])
-    @pytest.mark.parametrize(
-        "rk", ["cols", "split", "native", "auto", "numpy"]
-    )
-    def test_matmul_variants_match_reference(self, engines, mk, rk):
-        cols, w, b = self._case(21)
+    @pytest.mark.parametrize("kind", list(KERNEL_CASES))
+    def test_matmul_variants_match_reference(self, kind):
+        eng, cols, w, b = self._case(21, kind)
         ref = sconna_matmul_reference(cols, w, b, group=16)
         plan = compile_layer_plan(w, b, 16)
-        for eng in engines:
-            got = eng.matmul(plan, cols, matmul_kind=mk, remainder_kind=rk)
-            assert np.array_equal(ref, got)
-            out = np.empty_like(got)
-            eng.matmul(plan, cols, out=out, matmul_kind=mk, remainder_kind=rk)
-            assert np.array_equal(ref, out)
+        got = eng.matmul(plan, cols)
+        assert np.array_equal(ref, got)
+        out = np.empty_like(got)
+        eng.matmul(plan, cols, out=out)
+        assert np.array_equal(ref, out)
 
-    @pytest.mark.parametrize("mk", ["blas", "einsum"])
-    @pytest.mark.parametrize(
-        "rk", ["cols", "split", "native", "auto", "numpy"]
-    )
-    def test_matmul_ideal_matches_noisy_path_ideal(self, engines, mk, rk):
+    @pytest.mark.parametrize("kind", list(KERNEL_CASES))
+    def test_matmul_ideal_matches_noisy_path_ideal(self, kind):
         """The collapsed signed-BLAS ideal path is bit-exact against the
-        stacked reference for every variant pair."""
-        cols, w, b = self._case(22)
+        stacked reference for every kernel."""
+        eng, cols, w, b = self._case(22, kind)
         ref = sconna_matmul_reference(cols, w, b, group=8)
         plan = compile_layer_plan(w, b, 8)
-        for eng in engines:
-            got = eng.matmul_ideal(
-                plan, cols, matmul_kind=mk, remainder_kind=rk
-            )
-            assert np.array_equal(ref, got)
+        assert np.array_equal(ref, eng.matmul_ideal(plan, cols))
 
-    def test_float64_cols_operand_matches_int64(self, engines):
+    def test_float64_cols_operand_matches_int64(self):
         """The fused path hands the engine C-contiguous float64 columns
         (used directly as the BLAS operand); results must be identical
-        to the int64-cols reference call."""
-        cols, w, b = self._case(23)
-        plan = compile_layer_plan(w, b, 16)
-        cols_f = np.ascontiguousarray(cols.astype(np.float64))
-        for eng in engines:
+        to the int64-cols call."""
+        for kind in available_kernels():
+            eng, cols, w, b = self._case(23, kind)
+            plan = compile_layer_plan(w, b, 16)
+            cols_f = np.ascontiguousarray(cols.astype(np.float64))
             ref = eng.matmul(plan, cols)
-            for rk in ("cols", "split", "auto", "numpy"):
-                assert np.array_equal(
-                    ref, eng.matmul(plan, cols_f, remainder_kind=rk)
-                )
-                assert np.array_equal(
-                    ref, eng.matmul_ideal(plan, cols_f, remainder_kind=rk)
-                )
+            assert np.array_equal(ref, eng.matmul(plan, cols_f))
+            assert np.array_equal(ref, eng.matmul_ideal(plan, cols_f))
 
-    def test_seeded_noise_identical_across_variants(self, engines):
-        cols, w, b = self._case(24)
-        plan = compile_layer_plan(w, b, 16)
-        eng = engines[0]
-        base = eng.matmul(plan, cols, SconnaErrorModel(seed=5))
-        for mk in ("blas", "einsum"):
-            for rk in ("cols", "split", "native", "auto", "numpy"):
-                got = eng.matmul(
-                    plan, cols, SconnaErrorModel(seed=5),
-                    matmul_kind=mk, remainder_kind=rk,
-                )
-                assert np.array_equal(base, got)
+    def test_seeded_noise_identical_across_variants(self):
+        """Each native kernel's seeded noisy counts equal the NumPy
+        kernel's at the same shape."""
+        numpy_only = SconnaEngine(use_native=False)
+        for kind in available_kernels():
+            eng, cols, w, b = self._case(24, kind)
+            plan = compile_layer_plan(w, b, 16)
+            assert np.array_equal(
+                eng.matmul(plan, cols, SconnaErrorModel(seed=5)),
+                numpy_only.matmul(plan, cols, SconnaErrorModel(seed=5)),
+            )
 
 
 class TestRemainderFallbackBoundary:

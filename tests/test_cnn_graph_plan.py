@@ -1,22 +1,22 @@
 """Whole-network fused execution plans (graph_plan.py).
 
 The load-bearing contract: fused execution is bit-identical to the
-per-layer reference path for every zoo proxy, every supported mode,
-every batch size, and every kernel-variant choice the autotuner can
-make - the fused path may only ever change wall time.  Also locked
-here: the integer-native seams (an int8/uint8 batch never materialises
-float64 between entry and logits), arena-slot reuse, and the autotune
-record/reuse/invalidate lifecycle.
+per-layer oracle for every zoo proxy, every supported mode, and every
+batch size - the fused path may only ever change wall time.  Also
+locked here: the integer-native seams (an int8/uint8 batch never
+materialises float64 between entry and logits), arena-slot reuse, and
+the kernel rule each sconna stage's remainder kernel comes from.
 """
 
 import numpy as np
 import pytest
 
-from repro.cnn.graph_plan import AUTOTUNE_ENV, NetworkPlan, autotune_enabled
+from repro.cnn.engine import SconnaEngine, compile_layer_plan
 from repro.cnn.inference import QuantizedModel
 from repro.cnn.train import PROXY_MODELS, build_proxy
 from repro.cnn.datasets import IMAGE_SHAPE
 from repro.stochastic.error_models import SconnaErrorModel
+from repro.utils import native
 
 
 @pytest.fixture(scope="module")
@@ -151,67 +151,43 @@ class TestBufferLifetimes:
         assert p3 is not p1
 
 
-class TestAutotune:
-    def _fresh_model(self, calib):
-        return QuantizedModel.from_trained(build_proxy("snet_proxy"), calib)
+class TestKernelRule:
+    def test_cols_at_p8_split_below_numpy_without_native(self, calib):
+        """One rule picks each stage's remainder kernel: ``cols`` at
+        P >= 8, ``split`` at P < 8, ``numpy`` without the native kernel
+        or its uint8 layout; the fused plan records every pick."""
+        rng = np.random.default_rng(13)
+        w = rng.integers(-256, 257, size=(4, 30))
+        plan = compile_layer_plan(w, 8, 16)
+        eng = SconnaEngine()
+        picks = [eng.remainder_kernel(plan, p) for p in (1, 7, 8, 64)]
+        if native.native_available():
+            assert picks == ["split", "split", "cols", "cols"]
+        else:
+            assert picks == ["numpy"] * 4
+        assert SconnaEngine(use_native=False).remainder_kernel(plan, 64) == "numpy"
+        # B > 8 needs the uint16 low-bits layout, which has no C kernel
+        assert eng.remainder_kernel(compile_layer_plan(w, 12, 16), 64) == "numpy"
 
-    def test_choices_recorded_with_shapes(self, calib, monkeypatch):
-        monkeypatch.setenv(AUTOTUNE_ENV, "1")
-        assert autotune_enabled()
-        qm = self._fresh_model(calib)
+        qm = QuantizedModel.from_trained(build_proxy("snet_proxy"), calib)
         qm.forward(_batch(2, seed=9), mode="sconna",
                    error_model=SconnaErrorModel(adc_mape=0.0), fused=True)
-        assert qm.autotune, "expected autotune choices to be recorded"
-        for key, choice in qm.autotune.items():
+        assert qm.autotune, "the fused plan records each stage's pick"
+        for key, pick in qm.autotune.items():
             assert key.endswith(":sconna")
-            assert choice["matmul"] in ("blas", "einsum")
-            assert choice["remainder"] in (
-                "cols", "split", "native", "auto", "numpy"
-            )
-            assert choice["q"] > 0 and choice["p"] > 0
+            assert pick["q"] > 0
+            assert pick["remainder"] == eng.remainder_kernel(plan, pick["p"])
+        kinds = {pick["remainder"] for pick in qm.autotune.values()}
+        if native.native_available():
+            assert kinds == {"cols", "split"}  # conv stages and the FC
 
-    def test_stored_choice_reused_not_retimed(self, calib, monkeypatch):
-        monkeypatch.setenv(AUTOTUNE_ENV, "1")
-        qm = self._fresh_model(calib)
+        # a NumPy-only engine: every stage falls back, same logits
+        qm._engine = SconnaEngine(use_native=False)
+        qm._network_plan, qm.autotune = None, {}
         x = _batch(2, seed=10)
-        em = lambda: SconnaErrorModel(adc_mape=0.0)
-        qm.forward(x, mode="sconna", error_model=em(), fused=True)
-        # pin a stored (valid-shape) choice; a fresh plan at the same
-        # shape must adopt it verbatim instead of re-timing
-        key = next(iter(qm.autotune))
-        pinned = dict(qm.autotune[key], matmul="einsum")
-        qm.autotune[key] = pinned
-        plan = NetworkPlan(qm)
-        prog = plan.program_for("sconna", x.shape)
-        idx = int(key.split(":")[0])
-        stage = next(
-            s for s in prog.stages
-            if prog._stage_key(s) == idx
-        )
-        assert stage.matmul_kind == "einsum"
-        ref = qm.forward(x, mode="sconna", error_model=em(), fused=False)
-        assert np.array_equal(ref, prog.run(x, em()))
-
-    def test_stale_shape_invalidated(self, calib, monkeypatch):
-        monkeypatch.setenv(AUTOTUNE_ENV, "1")
-        qm = self._fresh_model(calib)
-        x = _batch(2, seed=11)
-        qm.forward(x, mode="sconna",
-                   error_model=SconnaErrorModel(adc_mape=0.0), fused=True)
-        key = next(iter(qm.autotune))
-        qm.autotune[key] = dict(qm.autotune[key], q=999999)
-        NetworkPlan(qm).program_for("sconna", x.shape)
-        assert qm.autotune[key]["q"] != 999999, (
-            "stale-shape choice must be re-tuned, not reused"
-        )
-
-    def test_autotune_off_pins_defaults(self, calib, monkeypatch):
-        monkeypatch.setenv(AUTOTUNE_ENV, "0")
-        assert not autotune_enabled()
-        qm = self._fresh_model(calib)
-        x = _batch(2, seed=12)
-        em = SconnaErrorModel(adc_mape=0.0)
-        ref = qm.forward(x, mode="sconna", error_model=em, fused=False)
-        fus = qm.forward(x, mode="sconna", error_model=em, fused=True)
+        fus = qm.forward(x, mode="sconna", error_model=SconnaErrorModel(seed=4),
+                         fused=True)
+        assert {p["remainder"] for p in qm.autotune.values()} == {"numpy"}
+        ref = qm.forward(x, mode="sconna", error_model=SconnaErrorModel(seed=4),
+                         fused=False)
         assert np.array_equal(ref, fus)
-        assert qm.autotune == {}, "pinned defaults must not be persisted"

@@ -129,61 +129,3 @@ class TestEdgeCases:
             qm.forward(ds.images[:4], mode="int8"),
             loaded.forward(ds.images[:4], mode="int8"),
         )
-
-
-class TestAutotunePersistence:
-    """Autotuned kernel choices ride the archive: a model tuned once is
-    served pre-tuned after save/load, and stale entries (recorded for a
-    different layer shape) are re-validated by the planner, never
-    trusted blindly."""
-
-    def _tuned_model(self, monkeypatch):
-        from repro.cnn.graph_plan import AUTOTUNE_ENV
-
-        monkeypatch.setenv(AUTOTUNE_ENV, "1")
-        rng = make_rng(4)
-        model = Sequential(
-            Conv2d(3, 4, 3, padding=1, rng=rng), ReLU(), MaxPool2d(4),
-            Flatten(), Linear(4 * 6 * 6, N_CLASSES, rng=rng),
-        )
-        ds = generate_dataset(4, seed=5)
-        qm = QuantizedModel.from_trained(model, ds.images[:16])
-        qm.forward(ds.images[:2], mode="sconna",
-                   error_model=SconnaErrorModel(adc_mape=0.0), fused=True)
-        assert qm.autotune, "fused forward should have recorded choices"
-        return qm, ds
-
-    def test_choices_survive_save_load(self, tmp_path, monkeypatch):
-        qm, ds = self._tuned_model(monkeypatch)
-        path = tmp_path / "tuned.npz"
-        qm.save(path)
-        loaded = QuantizedModel.load(path)
-        assert loaded.autotune == qm.autotune
-        em = SconnaErrorModel(adc_mape=0.0)
-        x = ds.images[:3]
-        assert np.array_equal(
-            loaded.forward(x, mode="sconna", error_model=em, fused=True),
-            loaded.forward(x, mode="sconna", error_model=em, fused=False),
-        )
-
-    def test_stale_entries_revalidated_after_load(self, tmp_path, monkeypatch):
-        qm, ds = self._tuned_model(monkeypatch)
-        key = next(iter(qm.autotune))
-        qm.autotune[key] = dict(qm.autotune[key], q=999999)
-        path = tmp_path / "stale.npz"
-        qm.save(path)
-        loaded = QuantizedModel.load(path)
-        # the archive stores entries verbatim; validation is load-side
-        assert loaded.autotune[key]["q"] == 999999
-        loaded.forward(ds.images[:2], mode="sconna",
-                       error_model=SconnaErrorModel(adc_mape=0.0), fused=True)
-        assert loaded.autotune[key]["q"] != 999999, (
-            "planner must re-tune a stale-shape entry"
-        )
-
-    def test_untuned_archive_loads_with_empty_autotune(self, saved_setup):
-        # saved_setup serializes before any fused forward ran, so the
-        # archive predates any autotune record - loads must not invent one
-        _, _, _, path = saved_setup
-        fresh = QuantizedModel.load(path)
-        assert getattr(fresh, "autotune", {}) == {}

@@ -137,6 +137,35 @@ class TestThreadBackendSeam:
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("gpu")
 
+    def test_pool_warms_each_worker_and_survives_a_raising_task(self):
+        """Warm-up runs once in every worker (barrier-synchronised), a
+        task that raises only bumps ``task_errors``, and close() drains
+        the queue and joins every worker."""
+        import threading
+
+        backend = ThreadBackend(n_workers=3)
+        seen, lock = [], threading.Lock()
+
+        def record() -> None:
+            with lock:
+                seen.append(threading.current_thread().name)
+
+        def poisoned() -> None:
+            raise RuntimeError("poisoned batch")
+
+        try:
+            backend._warm(record, timeout=10.0)
+            assert sorted(seen) == [f"sconna-worker-{i}" for i in range(3)]
+            backend._tasks.put(poisoned)
+            backend._tasks.put(record)
+        finally:
+            backend.close(timeout=10.0)
+        assert len(seen) == 4, "the pool keeps draining after a raising task"
+        assert backend.info() == {
+            "kind": "thread", "workers": 3, "pending": 0, "task_errors": 1,
+        }
+        assert not any(t.is_alive() for t in backend._threads)
+
 
 class TestModelBytesRoundTrip:
     def test_dumps_loads_bit_identical(self, setup):

@@ -79,59 +79,49 @@ class TestRegistry:
         assert len(reg) == 1
 
 
-class TestAutotuneManifest:
-    """The registry manifest mirrors the model's autotuned kernel
-    choices so operators can inspect them, and a loaded model serves
-    pre-tuned (no timing pass at load time)."""
-
-    def _tuned_model(self, monkeypatch):
-        from repro.cnn.graph_plan import AUTOTUNE_ENV
-        from repro.stochastic.error_models import SconnaErrorModel
-
-        monkeypatch.setenv(AUTOTUNE_ENV, "1")
-        rng = make_rng(3)
-        model = Sequential(
-            Conv2d(3, 5, 3, padding=1, rng=rng), ReLU(), MaxPool2d(4),
-            Flatten(), Linear(5 * 6 * 6, N_CLASSES, rng=rng),
-        )
-        ds = generate_dataset(4, seed=2)
-        qm = QuantizedModel.from_trained(model, ds.images[:16])
-        qm.forward(ds.images[:2], mode="sconna",
-                   error_model=SconnaErrorModel(adc_mape=0.0), fused=True)
-        assert qm.autotune
-        return qm, ds
-
-    def test_manifest_carries_choices(self, tmp_path, monkeypatch):
+class TestLegacyAutotuneRecords:
+    def test_old_archive_and_manifest_serve_identical_logits(
+        self, tiny_qmodel, tmp_path
+    ):
+        """Archives and manifests from when kernel picks were timed and
+        persisted carry an ``autotune`` map, naming kernels that no
+        longer exist.  They still load, and serve logits bit-identical
+        to a fresh model."""
         import json
 
-        qm, _ = self._tuned_model(monkeypatch)
-        reg = ModelRegistry(tmp_path)
-        reg.save("tuned", qm, arch_model="MobileNet_V2")
-        entry = reg.entry("tuned")
-        assert entry.autotune == qm.autotune
-        # and it is plain JSON in the manifest, not pickled state
-        manifest = json.loads((tmp_path / "tuned.json").read_text())
-        assert manifest["autotune"] == qm.autotune
-
-    def test_loaded_model_is_pretuned(self, tmp_path, monkeypatch):
         from repro.stochastic.error_models import SconnaErrorModel
 
-        qm, ds = self._tuned_model(monkeypatch)
+        qm, ds = tiny_qmodel
         reg = ModelRegistry(tmp_path)
-        reg.save("tuned", qm)
-        loaded = reg.load("tuned")
-        assert loaded.autotune == qm.autotune
-        em = SconnaErrorModel(adc_mape=0.0)
-        x = ds.images[:3]
-        assert np.array_equal(
-            loaded.forward(x, mode="sconna", error_model=em, fused=True),
-            qm.forward(x, mode="sconna", error_model=em, fused=False),
-        )
+        reg.save("old", qm)
+        legacy = {
+            "0:sconna": {"q": 27, "p": 576, "matmul": "einsum",
+                         "remainder": "native"},
+            "4:sconna": {"q": 180, "p": 1, "matmul": "blas",
+                         "remainder": "auto"},
+        }
+        # write both files back the way the older revision did
+        archive_path = tmp_path / "old.npz"
+        with np.load(archive_path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        meta = json.loads(str(arrays["__meta__"]))
+        arrays["__meta__"] = np.array(json.dumps(dict(meta, autotune=legacy)))
+        np.savez_compressed(archive_path, **arrays)
+        manifest_path = tmp_path / "old.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps(dict(manifest, autotune=legacy)))
 
-    def test_untuned_model_has_empty_autotune(self, tiny_qmodel, tmp_path):
-        qm, _ = tiny_qmodel
-        reg = ModelRegistry(tmp_path)
-        reg.save("plain", qm, arch_model="GoogleNet")
-        assert reg.entry("plain").autotune == dict(
-            getattr(qm, "autotune", {}) or {}
-        )
+        assert reg.entry("old").name == "old"
+        loaded = reg.load("old")
+        x = ds.images[:3]
+        for mode, em in (
+            ("int8", lambda: None),
+            ("sconna", lambda: SconnaErrorModel(adc_mape=0.0)),
+            ("sconna", lambda: SconnaErrorModel(seed=7)),
+        ):
+            assert np.array_equal(
+                loaded.forward(x, mode=mode, error_model=em()),
+                qm.forward(x, mode=mode, error_model=em()),
+            )
+        # the loaded model runs the kernel rule, not the stale picks
+        assert loaded.autotune == qm.autotune

@@ -474,6 +474,8 @@ class TestKillUnderLoad:
                 reference = client.predict(
                     ds.images[0], model="tiny", seed=11
                 ).logits
+            # consistent routing is visible in the topology before load
+            assert router.topology()["model_lanes"].get("tiny")
             # kill the replica the model's requests actually prefer, so
             # the redispatch path (not just the probe path) is exercised
             preferred = router.ranked("tiny")[0].url
