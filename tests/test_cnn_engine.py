@@ -58,6 +58,26 @@ def kernel_engine(kind: str) -> "tuple[SconnaEngine, int]":
     return SconnaEngine(use_native=use_native), p
 
 
+def exact_counts(cols, w, b, contraction):
+    """Ideal signed counts ``sum_q sign(w) * floor(i * |w| / 2**B)``,
+    computed without the engine or the oracle, by one of two contractions:
+
+    * ``blas``: the floor-decomposition identity - a float64 BLAS
+      ``np.matmul`` of the signed weights, less the signed
+      ``(i * |w|) mod 2**B`` remainders, over ``2**B`` (every term is an
+      integer below 2**53, so float64 is exact);
+    * ``einsum``: each product floored first, then contracted by
+      ``np.einsum``.
+    """
+    prods = cols[:, None, :, :] * np.abs(w)[None, :, :, None]  # (B, L, Q, P)
+    sign = np.sign(w)
+    if contraction == "blas":
+        s = np.matmul(w.astype(np.float64)[None], cols.astype(np.float64))
+        rem = ((prods & ((1 << b) - 1)) * sign[None, :, :, None]).sum(axis=2)
+        return (s - rem) / (1 << b)
+    return np.einsum("blqp,lq->blp", prods >> b, sign)
+
+
 class TestBitExactEquivalence:
     @given(
         b=st.sampled_from([4, 8, 12]),  # 12 exercises the uint16 low-bits path
@@ -158,7 +178,7 @@ class TestBitExactEquivalence:
         with pytest.raises(ValueError, match="Q=9"):
             sconna_matmul_reference(cols, w, 8, 4)
 
-    def test_model_falls_back_to_oracle_outside_envelope(self):
+    def test_model_routes_through_engine_and_falls_back(self):
         """In the engine's envelope the fused plan runs; outside it (B=18
         has no exact vectorized form) forward() falls back to the oracle."""
         from repro.cnn.quantize import QuantParams
@@ -417,7 +437,8 @@ class TestNativeKernel:
 
 class TestKernelVariants:
     """Every remainder kernel the rule can pick computes the same exact
-    integer sums."""
+    integer sums as the oracle and as the count definition under either
+    contraction (``exact_counts``)."""
 
     def _case(self, seed, kind, b=8):
         eng, p = kernel_engine(kind)
@@ -430,25 +451,31 @@ class TestKernelVariants:
         assert eng.remainder_kernel(compile_layer_plan(w, b, 16), p) == kind
         return eng, cols, w, b
 
+    @pytest.mark.parametrize("contraction", ["blas", "einsum"])
     @pytest.mark.parametrize("kind", list(KERNEL_CASES))
-    def test_matmul_variants_match_reference(self, kind):
+    def test_matmul_variants_match_reference(self, kind, contraction):
         eng, cols, w, b = self._case(21, kind)
+        truth = exact_counts(cols, w, b, contraction)
         ref = sconna_matmul_reference(cols, w, b, group=16)
+        assert np.array_equal(ref, truth)
         plan = compile_layer_plan(w, b, 16)
         got = eng.matmul(plan, cols)
-        assert np.array_equal(ref, got)
+        assert np.array_equal(truth, got)
         out = np.empty_like(got)
         eng.matmul(plan, cols, out=out)
-        assert np.array_equal(ref, out)
+        assert np.array_equal(truth, out)
 
+    @pytest.mark.parametrize("contraction", ["blas", "einsum"])
     @pytest.mark.parametrize("kind", list(KERNEL_CASES))
-    def test_matmul_ideal_matches_noisy_path_ideal(self, kind):
+    def test_matmul_ideal_matches_noisy_path_ideal(self, kind, contraction):
         """The collapsed signed-BLAS ideal path is bit-exact against the
         stacked reference for every kernel."""
         eng, cols, w, b = self._case(22, kind)
+        truth = exact_counts(cols, w, b, contraction)
         ref = sconna_matmul_reference(cols, w, b, group=8)
+        assert np.array_equal(ref, truth)
         plan = compile_layer_plan(w, b, 8)
-        assert np.array_equal(ref, eng.matmul_ideal(plan, cols))
+        assert np.array_equal(truth, eng.matmul_ideal(plan, cols))
 
     def test_float64_cols_operand_matches_int64(self):
         """The fused path hands the engine C-contiguous float64 columns

@@ -5,7 +5,8 @@ per-layer oracle for every zoo proxy, every supported mode, and every
 batch size - the fused path may only ever change wall time.  Also
 locked here: the integer-native seams (an int8/uint8 batch never
 materialises float64 between entry and logits), arena-slot reuse, and
-the kernel rule each sconna stage's remainder kernel comes from.
+the kernel rule each sconna stage's remainder kernel comes from, as the
+plan records it in the model's ``autotune`` dict.
 """
 
 import numpy as np
@@ -151,14 +152,17 @@ class TestBufferLifetimes:
         assert p3 is not p1
 
 
+def _rule_plan(b=8):
+    w = np.random.default_rng(13).integers(-256, 257, size=(4, 30))
+    return compile_layer_plan(w, b, 16)
+
+
 class TestKernelRule:
-    def test_cols_at_p8_split_below_numpy_without_native(self, calib):
+    def test_cols_at_p8_split_below_numpy_without_native(self):
         """One rule picks each stage's remainder kernel: ``cols`` at
         P >= 8, ``split`` at P < 8, ``numpy`` without the native kernel
-        or its uint8 layout; the fused plan records every pick."""
-        rng = np.random.default_rng(13)
-        w = rng.integers(-256, 257, size=(4, 30))
-        plan = compile_layer_plan(w, 8, 16)
+        or its uint8 layout."""
+        plan = _rule_plan()
         eng = SconnaEngine()
         picks = [eng.remainder_kernel(plan, p) for p in (1, 7, 8, 64)]
         if native.native_available():
@@ -167,23 +171,33 @@ class TestKernelRule:
             assert picks == ["numpy"] * 4
         assert SconnaEngine(use_native=False).remainder_kernel(plan, 64) == "numpy"
         # B > 8 needs the uint16 low-bits layout, which has no C kernel
-        assert eng.remainder_kernel(compile_layer_plan(w, 12, 16), 64) == "numpy"
+        assert eng.remainder_kernel(_rule_plan(b=12), 64) == "numpy"
 
+
+class TestAutotune:
+    """``QuantizedModel.autotune`` is a record, not a tuner: the fused
+    plan fills it with each sconna stage's pick from the kernel rule and
+    times nothing."""
+
+    def test_choices_recorded_with_shapes(self, calib):
         qm = QuantizedModel.from_trained(build_proxy("snet_proxy"), calib)
         qm.forward(_batch(2, seed=9), mode="sconna",
                    error_model=SconnaErrorModel(adc_mape=0.0), fused=True)
         assert qm.autotune, "the fused plan records each stage's pick"
+        eng, plan = SconnaEngine(), _rule_plan()
         for key, pick in qm.autotune.items():
             assert key.endswith(":sconna")
-            assert pick["q"] > 0
+            assert pick["q"] > 0 and pick["p"] > 0
             assert pick["remainder"] == eng.remainder_kernel(plan, pick["p"])
         kinds = {pick["remainder"] for pick in qm.autotune.values()}
         if native.native_available():
             assert kinds == {"cols", "split"}  # conv stages and the FC
 
-        # a NumPy-only engine: every stage falls back, same logits
+    def test_autotune_off_pins_defaults(self, calib):
+        """A NumPy-only engine pins every stage to ``numpy``, and the
+        fused logits still equal the oracle's."""
+        qm = QuantizedModel.from_trained(build_proxy("snet_proxy"), calib)
         qm._engine = SconnaEngine(use_native=False)
-        qm._network_plan, qm.autotune = None, {}
         x = _batch(2, seed=10)
         fus = qm.forward(x, mode="sconna", error_model=SconnaErrorModel(seed=4),
                          fused=True)

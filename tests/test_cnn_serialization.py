@@ -1,5 +1,7 @@
 """NPZ round-trip tests for QuantizedModel.save / QuantizedModel.load."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -129,3 +131,82 @@ class TestEdgeCases:
             qm.forward(ds.images[:4], mode="int8"),
             loaded.forward(ds.images[:4], mode="int8"),
         )
+
+
+def _read_meta(path):
+    with np.load(path) as archive:
+        return json.loads(str(archive["__meta__"]))
+
+
+class TestAutotunePersistence:
+    """Kernel picks are not persisted: the engine's rule re-derives them
+    after a load.  Archives from when timed picks were stored carry an
+    ``autotune`` map in their meta record, naming kernels that no longer
+    exist; they still load and serve."""
+
+    def _model(self):
+        rng = make_rng(4)
+        model = Sequential(
+            Conv2d(3, 4, 3, padding=1, rng=rng), ReLU(), MaxPool2d(4),
+            Flatten(), Linear(4 * 6 * 6, N_CLASSES, rng=rng),
+        )
+        ds = generate_dataset(4, seed=5)
+        return QuantizedModel.from_trained(model, ds.images[:16]), ds
+
+    def test_choices_survive_save_load(self, tmp_path):
+        """A loaded model starts with an empty record; its first fused
+        forward records the same picks as the saved model's."""
+        qm, ds = self._model()
+        em = SconnaErrorModel(adc_mape=0.0)
+        qm.forward(ds.images[:2], mode="sconna", error_model=em, fused=True)
+        assert qm.autotune, "fused forward should have recorded picks"
+        path = tmp_path / "picked.npz"
+        qm.save(path)
+        assert "autotune" not in _read_meta(path)
+        loaded = QuantizedModel.load(path)
+        assert loaded.autotune == {}
+        x = ds.images[:3]
+        assert np.array_equal(
+            loaded.forward(x, mode="sconna", error_model=em, fused=True),
+            loaded.forward(x, mode="sconna", error_model=em, fused=False),
+        )
+        assert loaded.autotune == qm.autotune
+
+    def test_stale_entries_revalidated_after_load(self, tmp_path):
+        """Stale timed picks in an old archive are ignored: the loaded
+        model serves the fresh model's logits bit for bit, on the rule's
+        picks."""
+        qm, ds = self._model()
+        path = tmp_path / "old.npz"
+        qm.save(path)
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        stale = {
+            "0:sconna": {"q": 999999, "p": 576, "matmul": "einsum",
+                         "remainder": "native"},
+            "4:sconna": {"q": 144, "p": 1, "matmul": "blas",
+                         "remainder": "auto"},
+        }
+        meta = dict(_read_meta(path), autotune=stale)
+        arrays["__meta__"] = np.array(json.dumps(meta))
+        np.savez_compressed(path, **arrays)
+
+        loaded = QuantizedModel.load(path)
+        assert loaded.autotune == {}
+        x = ds.images[:3]
+        for mode, em in (
+            ("int8", lambda: None),
+            ("sconna", lambda: SconnaErrorModel(adc_mape=0.0)),
+            ("sconna", lambda: SconnaErrorModel(seed=7)),
+        ):
+            assert np.array_equal(
+                loaded.forward(x, mode=mode, error_model=em()),
+                qm.forward(x, mode=mode, error_model=em()),
+            )
+        assert loaded.autotune == qm.autotune
+
+    def test_untuned_archive_loads_with_empty_autotune(self, saved_setup):
+        # saved_setup serializes before any fused forward ran, so the
+        # archive predates any pick - loads must not invent one
+        _, _, _, path = saved_setup
+        assert QuantizedModel.load(path).autotune == {}

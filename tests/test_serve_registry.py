@@ -1,5 +1,7 @@
 """Model-registry round trips and manifest handling."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -79,39 +81,54 @@ class TestRegistry:
         assert len(reg) == 1
 
 
-class TestLegacyAutotuneRecords:
-    def test_old_archive_and_manifest_serve_identical_logits(
-        self, tiny_qmodel, tmp_path
-    ):
-        """Archives and manifests from when kernel picks were timed and
-        persisted carry an ``autotune`` map, naming kernels that no
-        longer exist.  They still load, and serve logits bit-identical
-        to a fresh model."""
-        import json
+def _write_legacy_autotune(root, name):
+    """Rewrite ``name``'s archive and manifest the way older revisions
+    did, when timed kernel picks were persisted: each carries an
+    ``autotune`` map naming kernels that no longer exist."""
+    legacy = {
+        "0:sconna": {"q": 27, "p": 576, "matmul": "einsum",
+                     "remainder": "native"},
+        "4:sconna": {"q": 180, "p": 1, "matmul": "blas",
+                     "remainder": "auto"},
+    }
+    archive_path = root / f"{name}.npz"
+    with np.load(archive_path) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    meta = json.loads(str(arrays["__meta__"]))
+    arrays["__meta__"] = np.array(json.dumps(dict(meta, autotune=legacy)))
+    np.savez_compressed(archive_path, **arrays)
+    manifest_path = root / f"{name}.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest_path.write_text(json.dumps(dict(manifest, autotune=legacy)))
 
+
+class TestAutotuneManifest:
+    """Manifests no longer mirror kernel picks (the engine's rule
+    re-derives them at load), and old manifests that do still load."""
+
+    def test_manifest_carries_choices(self, tiny_qmodel, tmp_path):
+        """An old manifest carrying picks still reads as an entry; saving
+        over it drops the field."""
+        qm, _ = tiny_qmodel
+        reg = ModelRegistry(tmp_path)
+        reg.save("old", qm, arch_model="MobileNet_V2")
+        _write_legacy_autotune(tmp_path, "old")
+        entry = reg.entry("old")
+        assert entry.name == "old" and entry.arch_model == "MobileNet_V2"
+        reg.save("old", qm, arch_model="MobileNet_V2")
+        manifest = json.loads((tmp_path / "old.json").read_text())
+        assert "autotune" not in manifest
+
+    def test_loaded_model_is_pretuned(self, tiny_qmodel, tmp_path):
+        """Loaded from an old archive and manifest, a model serves logits
+        bit-identical to the fresh model's, on the rule's picks (no
+        timing pass at load or at first forward)."""
         from repro.stochastic.error_models import SconnaErrorModel
 
         qm, ds = tiny_qmodel
         reg = ModelRegistry(tmp_path)
         reg.save("old", qm)
-        legacy = {
-            "0:sconna": {"q": 27, "p": 576, "matmul": "einsum",
-                         "remainder": "native"},
-            "4:sconna": {"q": 180, "p": 1, "matmul": "blas",
-                         "remainder": "auto"},
-        }
-        # write both files back the way the older revision did
-        archive_path = tmp_path / "old.npz"
-        with np.load(archive_path) as archive:
-            arrays = {key: archive[key] for key in archive.files}
-        meta = json.loads(str(arrays["__meta__"]))
-        arrays["__meta__"] = np.array(json.dumps(dict(meta, autotune=legacy)))
-        np.savez_compressed(archive_path, **arrays)
-        manifest_path = tmp_path / "old.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest_path.write_text(json.dumps(dict(manifest, autotune=legacy)))
-
-        assert reg.entry("old").name == "old"
+        _write_legacy_autotune(tmp_path, "old")
         loaded = reg.load("old")
         x = ds.images[:3]
         for mode, em in (
@@ -125,3 +142,11 @@ class TestLegacyAutotuneRecords:
             )
         # the loaded model runs the kernel rule, not the stale picks
         assert loaded.autotune == qm.autotune
+
+    def test_untuned_model_has_empty_autotune(self, tiny_qmodel, tmp_path):
+        qm, _ = tiny_qmodel
+        reg = ModelRegistry(tmp_path)
+        reg.save("plain", qm, arch_model="GoogleNet")
+        manifest = json.loads((tmp_path / "plain.json").read_text())
+        assert "autotune" not in manifest
+        assert reg.load("plain").autotune == {}
