@@ -8,10 +8,9 @@ execution backend) around a zoo proxy model and drives it open-loop
   the naive "one request, one forward pass" server;
 * ``dynamic`` - the dynamic micro-batching policy on the thread backend;
 * ``dynamic`` x :class:`~repro.serve.backends.ProcessBackend` - the same
-  policy sharded over N worker processes, swept over ``--shards`` *and*
-  ``--transport`` (pipe-pickle vs shared-memory rings) on the ``sconna``
-  datapath (whose per-image compute dominates its batch cost, making it
-  the datapath that needs multi-core scaling);
+  policy sharded over N worker processes, swept over ``--shards`` on the
+  ``sconna`` datapath (whose per-image compute dominates its batch cost,
+  making it the datapath that needs multi-core scaling);
 * ``router`` - the replica tier: ``--replicas`` real ``python -m
   repro.serve`` processes behind :class:`~repro.serve.router.Router`,
   driven over HTTP through the routed front-end, swept over replicas x
@@ -32,9 +31,8 @@ gain needs real cores).  ``--smoke`` runs a seconds-scale version for
 CI without touching ``BENCH_serve.json``; ``--json-out PATH`` writes the
 run's records wherever asked (the CI bench-regression checker consumes a
 smoke run's output); ``--check-equivalence`` additionally pushes one
-seeded request stream through both backends (and each requested
-``--transport``) and fails unless the per-request logits are
-bit-identical.
+seeded request stream through both backends and fails unless the
+per-request logits are bit-identical.
 """
 
 from __future__ import annotations
@@ -71,14 +69,12 @@ def build_registry(root: Path, model_name: str, seed: int = 0):
 
 
 def make_service(registry, ds, model_name, *, mode, policy, n_workers,
-                 backend="thread", n_shards=2, transport="shm",
-                 trace_policy=None):
+                 backend="thread", n_shards=2, trace_policy=None):
     from repro.serve import SconnaService
 
     service = SconnaService(
         policy=policy, n_workers=n_workers, mode=mode,
-        backend=backend, n_shards=n_shards, transport=transport,
-        trace_policy=trace_policy,
+        backend=backend, n_shards=n_shards, trace_policy=trace_policy,
     )
     service.add_from_registry(registry, model_name, warm_shape=ds.images[0].shape)
     return service
@@ -86,8 +82,7 @@ def make_service(registry, ds, model_name, *, mode, policy, n_workers,
 
 def run_scenario(
     registry, ds, model_name, *, mode, policy, n_workers, n_requests,
-    repeats=1, backend="thread", n_shards=2, transport="shm", images=None,
-    trace_policy=None,
+    repeats=1, backend="thread", n_shards=2, images=None, trace_policy=None,
 ):
     """Open-loop drive: async-submit everything, wait for every future.
 
@@ -105,7 +100,7 @@ def run_scenario(
         service = make_service(
             registry, ds, model_name, mode=mode, policy=policy,
             n_workers=n_workers, backend=backend, n_shards=n_shards,
-            transport=transport, trace_policy=trace_policy,
+            trace_policy=trace_policy,
         )
         try:
             for i in range(8):  # warm the request path itself
@@ -135,7 +130,6 @@ def run_scenario(
         "input_dtype": str(imgs.dtype),
         "backend": backend,
         "shards": n_shards if backend == "process" else None,
-        "transport": transport if backend == "process" else None,
         "requests": n_requests,
         "workers": n_workers,
         "max_batch_size": policy.max_batch_size,
@@ -192,18 +186,16 @@ def run_trace_overhead(registry, ds, model_name, *, n_requests, repeats):
 
 
 def check_equivalence(registry, ds, model_name, *, policy, n_shards,
-                      transports=("pipe", "shm"), n_requests=40) -> None:
+                      n_requests=40) -> None:
     """The cross-backend determinism gate: one seeded request stream
-    through ThreadBackend and ProcessBackend (each requested transport)
-    must produce bit-identical per-request logits.  Exits nonzero on
-    the first mismatch."""
+    through ThreadBackend and ProcessBackend must produce bit-identical
+    per-request logits.  Exits nonzero on the first mismatch."""
     import numpy as np
 
-    def drive(backend, transport="shm"):
+    def drive(backend):
         service = make_service(
             registry, ds, model_name, mode="sconna", policy=policy,
             n_workers=2, backend=backend, n_shards=n_shards,
-            transport=transport,
         )
         try:
             futures = [
@@ -217,21 +209,18 @@ def check_equivalence(registry, ds, model_name, *, policy, n_shards,
             service.close()
 
     thread_logits = drive("thread")
-    for transport in transports:
-        process_logits = drive("process", transport=transport)
-        mismatches = [
-            i
-            for i, (a, b) in enumerate(zip(thread_logits, process_logits))
-            if not np.array_equal(a, b)
-        ]
-        if mismatches:
-            print(f"EQUIVALENCE FAILED ({transport}): "
-                  f"{len(mismatches)}/{n_requests} requests differ between "
-                  f"backends (first: request {mismatches[0]})")
-            sys.exit(1)
+    process_logits = drive("process")
+    mismatches = [
+        i
+        for i, (a, b) in enumerate(zip(thread_logits, process_logits))
+        if not np.array_equal(a, b)
+    ]
+    if mismatches:
+        print(f"EQUIVALENCE FAILED: {len(mismatches)}/{n_requests} requests "
+              f"differ between backends (first: request {mismatches[0]})")
+        sys.exit(1)
     print(f"equivalence: {n_requests} seeded sconna requests bit-identical "
-          f"across thread and {n_shards}-shard process backends "
-          f"(transports: {', '.join(transports)})")
+          f"across thread and {n_shards}-shard process backends")
 
 
 def _free_base_port(n: int) -> int:
@@ -421,10 +410,6 @@ def main() -> None:
     parser.add_argument("--shards", type=parse_shards, default=None,
                         help="comma-separated shard counts for the process "
                              "sweep (default: 2 plus the core count when >2)")
-    parser.add_argument("--transport", default="both",
-                        choices=("pipe", "shm", "both"),
-                        help="process-backend transports to measure / gate "
-                             "(default: both)")
     parser.add_argument("--replicas", type=parse_shards, default=None,
                         help="comma-separated replica counts for the router "
                              "sweep (replicas x shards grid of real server "
@@ -452,8 +437,6 @@ def main() -> None:
                              "off / sampled (1/16) / always-on and record "
                              "the req/s deltas")
     args = parser.parse_args()
-    transports = ("pipe", "shm") if args.transport == "both" \
-        else (args.transport,)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else (os.cpu_count() or 1)
     if args.shards is None:
@@ -516,8 +499,7 @@ def main() -> None:
                 policy=BatchingPolicy(
                     max_batch_size=min(args.max_batch_size, 8), max_wait_ms=2.0
                 ),
-                n_shards=min(args.shards), transports=transports,
-                n_requests=40,
+                n_shards=min(args.shards), n_requests=40,
             )
         print(f"serving {args.model} ({args.requests} open-loop requests/"
               f"scenario, {cores} cores)")
@@ -603,32 +585,29 @@ def main() -> None:
                     None,
                 )
                 for n_shards in args.shards:
-                    for transport in transports:
-                        # IPC-bound scenarios are noisier than in-process
-                        # ones (context-switch luck); a deeper best-of-N
-                        # keeps the pipe-vs-shm comparison stable
-                        rec = run_scenario(
-                            registry, ds, args.model, mode=mode,
-                            policy=BatchingPolicy(
-                                max_batch_size=min(args.max_batch_size, 32),
-                                max_wait_ms=args.max_wait_ms,
-                            ),
-                            n_workers=args.workers,
-                            n_requests=args.requests,
-                            repeats=repeats + 2, backend="process",
-                            n_shards=n_shards, transport=transport,
+                    # IPC-bound scenarios are noisier than in-process
+                    # ones (context-switch luck); a deeper best-of-N
+                    # keeps them stable
+                    rec = run_scenario(
+                        registry, ds, args.model, mode=mode,
+                        policy=BatchingPolicy(
+                            max_batch_size=min(args.max_batch_size, 32),
+                            max_wait_ms=args.max_wait_ms,
+                        ),
+                        n_workers=args.workers,
+                        n_requests=args.requests,
+                        repeats=repeats + 2, backend="process",
+                        n_shards=n_shards,
+                    )
+                    rec["scenario"] = "dynamic"
+                    if base is not None:
+                        speedup = round(
+                            rec["requests_per_s"] / base["requests_per_s"], 2
                         )
-                        rec["scenario"] = "dynamic"
-                        if base is not None:
-                            rec["speedup_vs_thread_dynamic"] = round(
-                                rec["requests_per_s"]
-                                / base["requests_per_s"], 2
-                            )
-                            speedups[
-                                f"{mode}-process-{transport}-{n_shards}"
-                            ] = rec["speedup_vs_thread_dynamic"]
-                        records.append(rec)
-                        print(_fmt(rec))
+                        rec["speedup_vs_thread_dynamic"] = speedup
+                        speedups[f"{mode}-process-{n_shards}"] = speedup
+                    records.append(rec)
+                    print(_fmt(rec))
         if args.trace_overhead:
             records += run_trace_overhead(
                 registry, ds, args.model,
@@ -672,7 +651,7 @@ def main() -> None:
 
 def _fmt(rec: dict) -> str:
     tag = rec["backend"] if rec["shards"] is None \
-        else f"{rec['backend']}x{rec['shards']}/{rec['transport']}"
+        else f"{rec['backend']}x{rec['shards']}"
     if rec.get("input_dtype", "float64") != "float64":
         tag = f"{tag}/{rec['input_dtype']}"
     return (f"  {rec['mode']:6s} {rec['scenario']:8s} {tag:14s}: "

@@ -14,7 +14,7 @@ requests and reap shard processes, and the aggregated metrics snapshot
 Run:  PYTHONPATH=src python examples/serve_http_demo.py
       PYTHONPATH=src python examples/serve_http_demo.py --backend process --shards 2
       PYTHONPATH=src python examples/serve_http_demo.py --backend process \
-          --transport pipe --placement snet=0 --affinity auto
+          --placement snet=0 --affinity auto
       PYTHONPATH=src python examples/serve_http_demo.py --wire json
       PYTHONPATH=src python examples/serve_http_demo.py --trace --log-requests
 """
@@ -48,10 +48,6 @@ def main() -> None:
                         help="worker processes for --backend process")
     parser.add_argument("--workers", type=int, default=2,
                         help="worker threads for --backend thread")
-    parser.add_argument("--transport", default="shm",
-                        choices=("pipe", "shm"),
-                        help="process-backend batch transport (default: shm "
-                             "shared-memory rings)")
     parser.add_argument("--affinity", default="none",
                         choices=("auto", "none"),
                         help="process-backend CPU pinning (default: none)")
@@ -97,7 +93,6 @@ def main() -> None:
             n_workers=args.workers,
             backend=args.backend,
             n_shards=args.shards,
-            transport=args.transport,
             placement=placement,
             affinity=None if args.affinity == "none" else args.affinity,
             trace_policy=POLICY_ALWAYS if args.trace else None,
@@ -111,7 +106,6 @@ def main() -> None:
         backend_info = service.backend.info()
         topology = (
             f"{backend_info.get('shards')} shard processes, "
-            f"{backend_info.get('transport')} transport, "
             f"affinity {backend_info.get('affinity')}"
             if args.backend == "process"
             else f"{args.workers} worker threads"

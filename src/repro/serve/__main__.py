@@ -2,7 +2,7 @@
 
 Serves registry models over HTTP/1.1 (JSON and the binary tensor wire
 of :mod:`repro.serve.wire`), with backend selection (``--backend
---shards --transport --placement --affinity``) and admission control
+--shards --placement --affinity``) and admission control
 (``--max-inflight --max-queued-mb``).
 
 Delegates to :func:`repro.serve.httpd.main` (this entry avoids the

@@ -22,14 +22,16 @@ Two implementations:
   shared registry's archive when one exists, from in-memory archive
   bytes otherwise.  Batch tensors travel through per-shard
   ``multiprocessing.shared_memory`` rings with only descriptors on the
-  pipe (``transport="shm"``, the default; ``"pipe"`` keeps the classic
-  pickled-array transport, and ring-full backpressure degrades single
-  batches to it); results return on per-shard collector threads.
-  :class:`ShardPlacement` routes each model to a shard subset (default:
-  all).  A shard that dies is reaped, respawned (up to
-  ``max_restarts``), its placed models reloaded, its shm rings
-  unlinked and recreated, and its in-flight batches redispatched to
-  live shards.
+  pipe; a batch rides the pipe itself only when its shard's ring is
+  full, too small for it, or missing.  Results return on per-shard
+  collector threads.  :class:`ShardPlacement` routes each model to a
+  shard subset (default: all).  A shard that dies is reaped, respawned
+  (up to :data:`MAX_RESTARTS`), its placed models reloaded, its shm
+  rings unlinked and recreated, and its in-flight batches redispatched
+  to live shards.
+
+Both backends execute a batch through one function,
+:func:`execute_batch`, and warm a model through :func:`warm_up`.
 
 **Determinism across backends.**  A request's ADC noise lives in its
 :class:`~repro.stochastic.error_models.SconnaErrorModel`, whose RNG
@@ -55,6 +57,7 @@ import os
 import queue
 import threading
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,9 +68,18 @@ from repro.serve.shm import (
     DEFAULT_RING_BYTES,
     RingAllocator,
     ShmArena,
+    ShmDescriptor,
     attach_arena,
 )
 from repro.stochastic.error_models import PerRequestErrorModels, SconnaErrorModel
+
+#: shard processes start with "spawn": forking a parent that already
+#: runs scheduler and HTTP threads is a deadlock lottery
+_MP = multiprocessing.get_context("spawn")
+#: crash respawns one ProcessBackend performs before a dead slot stays dead
+MAX_RESTARTS = 3
+#: seconds add_model waits for every placed shard to acknowledge a load
+LOAD_TIMEOUT_S = 180.0
 
 
 @dataclass(frozen=True)
@@ -92,16 +104,35 @@ def stack_batch(batch: "list[InferenceRequest]") -> np.ndarray:
     return np.concatenate([r.images for r in batch], axis=0)
 
 
-def batch_error_model(
-    mode: str, batch: "list[InferenceRequest]"
-) -> PerRequestErrorModels | None:
-    """The per-request composite error model for one coalesced batch
-    (``None`` outside the sconna datapath)."""
-    if mode != "sconna":
-        return None
-    return PerRequestErrorModels(
-        [r.error_model for r in batch], [r.n_images for r in batch]
+def execute_batch(
+    qmodel, mode: str, images: np.ndarray, error_models: list,
+    sizes: "list[int]", metrics: ServeMetrics,
+    profile: "list | None" = None,
+) -> np.ndarray:
+    """Run one coalesced batch: the execution path both backends share.
+
+    ``error_models`` and ``sizes`` are the batch's per-request ADC noise
+    models and image counts; on the sconna datapath each request's model
+    is applied to its own contiguous slice, so a seeded request's logits
+    do not depend on which batch or backend carried it.  ``profile``
+    collects per-stage engine timings when it is a list.  Counts the
+    batch in ``metrics``; the caller counts failures.
+    """
+    error_model = (
+        PerRequestErrorModels(error_models, sizes) if mode == "sconna" else None
     )
+    logits = qmodel.forward(
+        images, mode=mode, error_model=error_model, profile=profile
+    )
+    metrics.record_batch(len(sizes), int(images.shape[0]))
+    return logits
+
+
+def warm_up(qmodel, mode: str, shape: "tuple[int, int, int, int]") -> None:
+    """One forward of a zero batch of ``shape`` so first real batches
+    find hot buffers (ideal ADC: a warm-up draws no noise)."""
+    error_model = SconnaErrorModel(adc_mape=0.0) if mode == "sconna" else None
+    qmodel.forward(np.zeros(shape), mode=mode, error_model=error_model)
 
 
 class ShardPlacement:
@@ -294,10 +325,7 @@ class ThreadBackend(ExecutionBackend):
             raise RuntimeError("backend is closed")
         self._models[name] = (qmodel, mode)
         if warm is not None:
-            n, c, h, w = warm
-            dummy = np.zeros((n, c, h, w))
-            em = SconnaErrorModel(adc_mape=0.0) if mode == "sconna" else None
-            self._warm(lambda: qmodel.forward(dummy, mode=mode, error_model=em))
+            self._warm(lambda: warm_up(qmodel, mode, warm))
 
     def submit(self, name, batch, on_done) -> None:
         if self._closed:
@@ -307,26 +335,13 @@ class ThreadBackend(ExecutionBackend):
 
         def task() -> None:
             exec_start = time.monotonic()
-            # profile stays None unless some traced request asked for
-            # engine timings, so untraced batches call forward() with
-            # the exact historical argument list
-            profile = None
-            if traces and any(t.wants_profile for t in traces):
-                profile = []
+            profile = [] if any(t.wants_profile for t in traces) else None
             try:
                 stacked = stack_batch(batch)
-                if profile is not None:
-                    logits = qmodel.forward(
-                        stacked, mode=mode,
-                        error_model=batch_error_model(mode, batch),
-                        profile=profile,
-                    )
-                else:
-                    logits = qmodel.forward(
-                        stacked, mode=mode,
-                        error_model=batch_error_model(mode, batch),
-                    )
-                self.metrics.record_batch(len(batch), int(stacked.shape[0]))
+                logits = execute_batch(
+                    qmodel, mode, stacked, [r.error_model for r in batch],
+                    [r.n_images for r in batch], self.metrics, profile,
+                )
             except BaseException as exc:
                 self.metrics.record_error(len(batch))
                 if traces:
@@ -425,8 +440,8 @@ class _Shard:
     reader: "threading.Thread | None" = None
     alive: bool = True
     expected_exit: bool = False
-    #: shm transport (None under transport="pipe"): parent-owned arenas -
-    #: tx carries batch tensors parent->shard, rx carries logits back
+    #: parent-owned rings (None when /dev/shm could not hold them): tx
+    #: carries batch tensors parent->shard, rx carries logits back
     tx: "ShmArena | None" = None
     rx: "ShmArena | None" = None
     tx_alloc: "RingAllocator | None" = None
@@ -454,11 +469,12 @@ def _shard_main(conn, shard_id: int, shm_spec=None, cpus=None) -> None:
     message or when the pipe reaches EOF (the parent died), so shards
     can never outlive their parent as orphans.
 
-    ``shm_spec`` is ``(tx_name, rx_name, ring_bytes)`` under the shm
-    transport: the shard *attaches* to the parent-owned arenas (never
-    creates or unlinks them), reads ``shmbatch`` tensors out of tx, and
-    returns logits through rx when its ring has room - falling back to
-    a pickled ``ok`` reply when it does not.  The shard-side rx
+    ``shm_spec`` is ``(tx_name, rx_name, ring_bytes)``, or ``None`` for
+    a shard without rings: the shard *attaches* to the parent-owned
+    arenas (never creates or unlinks them).  A ``batch`` message carries
+    its images either as an array or as a :class:`ShmDescriptor` into
+    tx; the ``ok`` reply likewise carries the logits through rx when
+    that ring has room and as an array otherwise.  The shard-side rx
     allocator reclaims regions on the parent's ``freerx`` messages.
 
     SIGINT is ignored: a terminal Ctrl-C signals the whole foreground
@@ -494,57 +510,45 @@ def _shard_main(conn, shard_id: int, shm_spec=None, cpus=None) -> None:
         rx = attach_arena(rx_name, ring_bytes)
         rx_alloc = RingAllocator(ring_bytes)
 
-    def run_batch(bid, name, images, emodels, sizes, tctx=None) -> tuple:
+    def run_batch(bid, name, images, emodels, sizes, tctx) -> tuple:
         # ``tctx`` is the parent's span context (piggybacked on the
         # batch message like the RNG state): when present, execution is
         # timed with time.monotonic() - system-wide on Linux, so these
         # readings are directly comparable to the parent's clock - and
         # the spans ride back with the logits for the parent to graft
         # into the request traces
-        spans = None
-        profile = None
-        if tctx is not None:
-            spans = []
-            if tctx.get("profile"):
-                profile = []
-        t0 = time.monotonic() if spans is not None else 0.0
+        profile = [] if tctx is not None and tctx.get("profile") else None
+        t0 = time.monotonic()
         try:
             entry = models.get(name)
             if entry is None:
                 raise KeyError(
                     f"shard {shard_id} has no model {name!r} loaded"
                 )
-            qm, mode = entry
-            error_model = (
-                PerRequestErrorModels(emodels, sizes)
-                if mode == "sconna"
-                else None
+            if isinstance(images, ShmDescriptor):
+                # zero-copy: the parent keeps this tx region allocated
+                # until our reply arrives, and the reply is only sent
+                # after forward() is done with the view
+                images = tx.read_array(images, copy=False)
+            logits = execute_batch(
+                *entry, images, emodels, sizes, metrics, profile
             )
-            if profile is not None:
-                logits = qm.forward(
-                    images, mode=mode, error_model=error_model,
-                    profile=profile,
-                )
-            else:
-                logits = qm.forward(images, mode=mode, error_model=error_model)
-            metrics.record_batch(len(sizes), int(images.shape[0]))
         except BaseException as exc:
             metrics.record_error(len(sizes))
             return ("err", bid, exc)
-        if spans is not None:
-            spans.append(("shard.execute", t0, time.monotonic(),
-                          {"shard": shard_id,
-                           "images": int(images.shape[0])}))
-            if profile:
-                spans.extend(
-                    (n, s, e, dict(tags, shard=shard_id))
-                    for n, s, e, tags in profile
-                )
+        spans = None
+        if tctx is not None:
+            spans = [("shard.execute", t0, time.monotonic(),
+                      {"shard": shard_id, "images": int(images.shape[0])})]
+            spans.extend(
+                (n, s, e, dict(tags, shard=shard_id))
+                for n, s, e, tags in profile or ()
+            )
         if rx_alloc is not None:
             logits = np.ascontiguousarray(logits)
             offset = rx_alloc.alloc(logits.nbytes)
             if offset is not None:
-                return ("okshm", bid, rx.write_array(offset, logits), spans)
+                logits = rx.write_array(offset, logits)
         return ("ok", bid, logits, spans)
 
     metrics = ServeMetrics()
@@ -566,45 +570,19 @@ def _shard_main(conn, shard_id: int, shm_spec=None, cpus=None) -> None:
                     else loads_quantized_model(src)
                 )
                 if warm is not None:
-                    n, c, h, w = warm
-                    em = (
-                        SconnaErrorModel(adc_mape=0.0)
-                        if mode == "sconna"
-                        else None
-                    )
-                    qm.forward(np.zeros((n, c, h, w)), mode=mode, error_model=em)
+                    warm_up(qm, mode, warm)
                 models[name] = (qm, mode)
                 reply = ("loaded", token, name, None)
             except BaseException as exc:
                 reply = ("loaded", token, name, f"{type(exc).__name__}: {exc}")
             _shard_reply(conn, reply)
         elif op == "batch":
-            _, bid, name, images, emodels, sizes, tctx = msg
-            _shard_reply(
-                conn, run_batch(bid, name, images, emodels, sizes, tctx)
-            )
-        elif op == "shmbatch":
-            _, bid, name, desc, emodels, sizes, tctx = msg
-            try:
-                # zero-copy: the parent keeps this tx region allocated
-                # until our reply arrives, and the reply is only sent
-                # after forward() is done with the view
-                images = tx.read_array(desc, copy=False)
-            except BaseException as exc:
-                metrics.record_error(len(sizes))
-                _shard_reply(conn, ("err", bid, exc))
-                continue
-            _shard_reply(
-                conn, run_batch(bid, name, images, emodels, sizes, tctx)
-            )
-            del images  # release the mmap export so close() can unmap
+            _shard_reply(conn, run_batch(*msg[1:]))
         elif op == "freerx":
             try:
                 rx_alloc.free(msg[1])
-            except (KeyError, AttributeError):
-                # a free for a region this runtime never allocated (a
-                # duplicate, or rx_alloc is None under the pipe
-                # transport): losing one free is recoverable, dying
+            except KeyError:
+                # a duplicate free: losing one is recoverable, dying
                 # mid-serve is not
                 pass
         elif op == "metrics":
@@ -649,22 +627,22 @@ class ProcessBackend(ExecutionBackend):
     at-least-once execution whose results are identical because each
     batch carries its own pickled RNG state.
 
-    **Transport.**  ``transport="shm"`` (default) moves batch tensors
-    (and result logits on the return path) through per-shard
-    ``multiprocessing.shared_memory`` ring arenas; only a small
-    descriptor (offset, shape, dtype) plus the request ids and pickled
-    RNG state cross the pipe.  The parent owns both arenas of every
-    shard: it allocates tx regions (freed when that batch's reply
-    arrives - the single-threaded shard is necessarily done reading by
-    then), reads rx logits (freed shard-side on the parent's ``freerx``
-    message), and **unlinks both segments** on shard death, respawn and
-    ``close()`` - no ``/dev/shm/repro_*`` segment survives the backend,
-    even when a shard dies mid-batch.  A ring-full condition or a batch
-    larger than the ring degrades that batch to the classic pipe-pickle
-    path (``transport="pipe"`` forces it everywhere), so backpressure
-    bounds memory without stalling dispatch.  Bytes move verbatim in
-    both transports, so the cross-backend bit-equivalence contract is
-    transport-independent.
+    **Rings.**  Batch tensors (and result logits on the return path)
+    move through two ``multiprocessing.shared_memory`` ring arenas of
+    ``ring_bytes`` per shard; only a small descriptor (offset, shape,
+    dtype) plus the request ids and pickled RNG state cross the pipe.
+    The parent owns both arenas of every shard: it allocates tx regions
+    (freed when that batch's reply arrives - the single-threaded shard
+    is necessarily done reading by then), reads rx logits (freed
+    shard-side on the parent's ``freerx`` message), and **unlinks both
+    segments** on shard death, respawn and ``close()`` - no
+    ``/dev/shm/repro_*`` segment survives the backend, even when a shard
+    dies mid-batch.  A batch goes onto the pipe itself only when its
+    shard's ring is full, too small for it, or missing (``/dev/shm``
+    could not hold the rings when the shard was spawned, so it runs
+    without them); backpressure bounds memory without stalling
+    dispatch.  Bytes move verbatim either way, so a seeded request's
+    logits do not depend on which path carried it.
     """
 
     kind = "process"
@@ -672,19 +650,12 @@ class ProcessBackend(ExecutionBackend):
     def __init__(
         self,
         n_shards: int = 2,
-        start_method: str | None = None,
-        max_restarts: int = 3,
-        load_timeout_s: float = 180.0,
-        transport: str = "shm",
         ring_bytes: int = DEFAULT_RING_BYTES,
         placement: "ShardPlacement | dict | None" = None,
         affinity: "str | None" = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if transport not in ("pipe", "shm"):
-            raise ValueError(f"unknown transport {transport!r}; "
-                             "expected 'pipe' or 'shm'")
         if ring_bytes < 1:
             raise ValueError("ring_bytes must be >= 1")
         if affinity not in (None, "auto"):
@@ -698,29 +669,7 @@ class ProcessBackend(ExecutionBackend):
         self._cores: "tuple[int, ...] | None" = None
         if affinity == "auto" and hasattr(os, "sched_getaffinity"):
             self._cores = tuple(sorted(os.sched_getaffinity(0)))
-        # spawn by default: forking a parent that already runs scheduler
-        # and HTTP threads is a deadlock lottery
-        self._ctx = multiprocessing.get_context(start_method or "spawn")
-        self.start_method = start_method or "spawn"
-        self.max_restarts = max_restarts
-        self.load_timeout_s = load_timeout_s
         self.ring_bytes = int(ring_bytes)
-        self.requested_transport = transport
-        if transport == "shm":
-            try:  # probe: /dev/shm may be absent or unwritable
-                ShmArena(4096).destroy()
-            except Exception as exc:
-                import warnings
-
-                warnings.warn(
-                    f"shared-memory transport unavailable "
-                    f"({type(exc).__name__}: {exc}); falling back to the "
-                    "pipe transport",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                transport = "pipe"
-        self.transport = transport
         if placement is None or isinstance(placement, ShardPlacement):
             self.placement = placement
         else:
@@ -734,11 +683,10 @@ class ProcessBackend(ExecutionBackend):
         self._tokens = itertools.count(1)
         self._closed = False
         self.restarts = 0
-        #: transport counters (under _lock): batches sent through shm,
-        #: through the pipe by configuration, and pipe fallbacks forced
-        #: by ring backpressure / oversized batches
+        #: dispatch counters (under _lock): batches sent through a tx
+        #: ring, and batches that went onto the pipe because their
+        #: shard's ring was full, too small for them, or missing
         self._shm_batches = 0
-        self._pipe_batches = 0
         self._pipe_fallbacks = 0
         #: every segment name this backend ever created (tests assert
         #: all of them are gone from /dev/shm after close)
@@ -752,79 +700,40 @@ class ProcessBackend(ExecutionBackend):
         try:
             for slot in range(n_shards):
                 self._shards.append(self._spawn(slot))
-        except OSError:
-            if self.transport != "shm":
-                raise
-            # the 4 KB probe passed but the full rings do not fit (e.g.
-            # a container's small /dev/shm tmpfs - posix_fallocate in
-            # ShmArena makes that a clean OSError here rather than a
-            # SIGBUS mid-serve): release everything spawned so far and
-            # retry wholesale on the pipe transport
-            self._abort_spawned()
-            import warnings
-
-            warnings.warn(
-                f"/dev/shm cannot hold {n_shards} x 2 rings of "
-                f"{self.ring_bytes} B; falling back to the pipe "
-                "transport (shrink ring_bytes or grow /dev/shm to keep "
-                "shared-memory dispatch)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self.transport = "pipe"
-            self._shards = [self._spawn(slot) for slot in range(n_shards)]
-
-    def _abort_spawned(self) -> None:
-        """Tear down the shards a failed ``__init__`` spawn loop already
-        started - nothing may leak when construction cannot complete."""
-        partial, self._shards = self._shards, []
-        for shard in partial:
-            shard.expected_exit = True
-            try:
-                shard.send(("stop",))
-            except OSError:
-                pass
-        for shard in partial:
-            self._reap_shard(shard, 2.0)
-
-    @staticmethod
-    def _reap_shard(shard: _Shard, join_timeout: float) -> None:
-        """The one shard-reaping sequence (shared by close() and the
-        __init__ fallback): join the process (terminate if it will not
-        die), close the pipe, join the collector, destroy the rings."""
-        shard.process.join(join_timeout)
-        if shard.process.is_alive():
-            shard.process.terminate()
-            shard.process.join(2.0)
-        try:
-            shard.conn.close()
-        except OSError:
-            pass
-        if shard.reader is not None:
-            shard.reader.join(2.0)
-        # every ring dies with its shard: unlink here so neither exit
-        # path can leave /dev/shm entries behind
-        shard.destroy_arenas()
+        except BaseException:
+            self.close()  # nothing leaks when construction cannot complete
+            raise
 
     # -- shard lifecycle -------------------------------------------------
     def _spawn(self, slot: int) -> _Shard:
-        tx = rx = tx_alloc = None
-        shm_spec = None
-        if self.transport == "shm":
+        """Start the worker for ``slot`` with fresh rings - or without
+        any when ``/dev/shm`` is absent, unwritable or too small for them
+        (``ShmArena`` commits its pages, so a full tmpfs is a clean
+        ``OSError`` here rather than a SIGBUS mid-serve): that shard
+        then takes every batch over the pipe."""
+        tx = rx = tx_alloc = shm_spec = None
+        try:
             tx = ShmArena(self.ring_bytes)
-            try:
-                rx = ShmArena(self.ring_bytes)
-            except BaseException:
+            rx = ShmArena(self.ring_bytes)
+        except OSError as exc:
+            if tx is not None:
                 tx.destroy()
-                raise
+            tx = None
+            warnings.warn(
+                f"shard {slot} starts without shared-memory rings "
+                f"({type(exc).__name__}: {exc}); its batches go over the "
+                "pipe (shrink ring_bytes or grow /dev/shm)",
+                RuntimeWarning,
+            )
+        else:
             tx_alloc = RingAllocator(self.ring_bytes)
             self.segment_names.update((tx.name, rx.name))
             shm_spec = (tx.name, rx.name, self.ring_bytes)
         cpus = None
         if self._cores:
             cpus = (self._cores[slot % len(self._cores)],)
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
+        parent_conn, child_conn = _MP.Pipe(duplex=True)
+        process = _MP.Process(
             target=_shard_main,
             args=(child_conn, slot, shm_spec, cpus),
             name=f"sconna-shard-{slot}",
@@ -868,30 +777,29 @@ class ProcessBackend(ExecutionBackend):
                     shard.acks.put(msg)
             elif op == "metrics":
                 shard.metrics_replies.put(msg)
-            elif op in ("ok", "okshm", "err"):
-                bid = msg[1]
-                logits = None
-                shard_spans = msg[3] if len(msg) > 3 else None
-                if op == "okshm":
+            elif op in ("ok", "err"):
+                # ("ok", bid, logits | ShmDescriptor, spans) or
+                # ("err", bid, exception)
+                bid, result = msg[1], msg[2]
+                shard_spans = msg[3] if op == "ok" else None
+                if isinstance(result, ShmDescriptor):
                     # copy the logits out *before* releasing anything;
                     # the freerx goes back even when the read fails -
                     # otherwise the shard's rx region would leak until
                     # its next respawn and shrink the ring for good
-                    desc = msg[2]
+                    desc = result
                     try:
-                        logits = shard.rx.read_array(desc)
+                        result = shard.rx.read_array(desc)
                     except BaseException as exc:
-                        op, msg = "err", ("err", bid, exc)
+                        op, result = "err", exc
                     try:
                         shard.send(("freerx", desc.offset))
                     except OSError:
                         pass  # dying shard; respawn gets fresh rings
-                elif op == "ok":
-                    logits = msg[2]
                 with self._lock:
                     item = shard.inflight.pop(bid, None)
                     tx_offset = shard.tx_offsets.pop(bid, None)
-                    if tx_offset is not None and shard.tx_alloc is not None:
+                    if tx_offset is not None:
                         try:
                             shard.tx_alloc.free(tx_offset)
                         except KeyError:
@@ -914,18 +822,18 @@ class ProcessBackend(ExecutionBackend):
                             tags={"backend": "process",
                                   "shard": shard.slot,
                                   "transport": transport,
-                                  **({"error": type(msg[2]).__name__}
+                                  **({"error": type(result).__name__}
                                      if op == "err" else {})},
                         )
                         if shard_spans:
                             tr.add_spans(shard_spans, parent_id=parent)
                 if op == "err":
-                    item.on_done(msg[2])
+                    item.on_done(result)
                 else:
                     item.on_done(
                         BatchResult(
-                            logits=logits,
-                            n_images=int(logits.shape[0]),
+                            logits=result,
+                            n_images=int(result.shape[0]),
                             exec_start=item.dispatched_at,
                             shard=shard.slot,
                         )
@@ -947,7 +855,7 @@ class ProcessBackend(ExecutionBackend):
             respawn = (
                 not shard.expected_exit
                 and not self._closed
-                and self.restarts < self.max_restarts
+                and self.restarts < MAX_RESTARTS
             )
             if respawn:
                 self.restarts += 1
@@ -1015,7 +923,7 @@ class ProcessBackend(ExecutionBackend):
                     shard.send(("load", token, name, src[0], src[1], mode, warm))
                 except OSError:
                     pass  # dying shard; its respawn replays the load
-            deadline = time.monotonic() + self.load_timeout_s
+            deadline = time.monotonic() + LOAD_TIMEOUT_S
             for shard in shards:
                 error = self._await_ack(shard, token, name, deadline)
                 if error is not None:
@@ -1032,7 +940,7 @@ class ProcessBackend(ExecutionBackend):
                 return None  # exit path replays the load on respawn
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                return f"no ack within {self.load_timeout_s:.0f}s"
+                return f"no ack within {LOAD_TIMEOUT_S:.0f}s"
             try:
                 _, ack_token, ack_name, error = shard.acks.get(
                     timeout=min(remaining, 0.25)
@@ -1073,10 +981,9 @@ class ProcessBackend(ExecutionBackend):
 
     def _dispatch(self, item: _Inflight) -> None:
         """Assign one batch to the least-loaded live shard in the
-        model's placement and send it - through the shard's shm tx ring
-        when the transport is shm and the ring has room, over the pipe
-        otherwise (ring-full backpressure and oversized batches degrade
-        to the pipe path rather than stalling).
+        model's placement and send it - through the shard's tx ring when
+        it has room, over the pipe otherwise (a full ring, a batch larger
+        than the ring, or a shard without rings never stalls dispatch).
 
         Raises when no placed shard is alive; a send that fails because
         the chosen shard just died is *not* an error - the entry is
@@ -1091,7 +998,7 @@ class ProcessBackend(ExecutionBackend):
                 raise RuntimeError(
                     f"no live shards for model {item.name!r} "
                     f"(placement {sorted(item.slots)}; exceeded "
-                    "max_restarts or closing)"
+                    "MAX_RESTARTS or closing)"
                 )
             shard = min(live, key=lambda s: len(s.inflight))
             bid = next(self._bids)
@@ -1099,29 +1006,22 @@ class ProcessBackend(ExecutionBackend):
             offset = None
             if shard.tx_alloc is not None:
                 offset = shard.tx_alloc.alloc(item.images.nbytes)
-                if offset is not None:
-                    shard.tx_offsets[bid] = offset
-                    self._shm_batches += 1
-                else:
-                    self._pipe_fallbacks += 1
+            if offset is None:
+                self._pipe_fallbacks += 1
             else:
-                self._pipe_batches += 1
+                shard.tx_offsets[bid] = offset
+                self._shm_batches += 1
+        payload = item.images
         if offset is not None:
             try:
-                desc = shard.tx.write_array(offset, item.images)
-                shard.send(
-                    ("shmbatch", bid, item.name, desc, item.models,
-                     item.sizes, item.tctx)
-                )
-            except (OSError, ValueError, BufferError, TypeError):
-                # arena/pipe died under us (a closed SharedMemory's buf
-                # is None, so frombuffer raises TypeError): the entry is
-                # already in the shard's inflight table, the EOF path
-                # rescues it
-                pass
-            return
+                payload = shard.tx.write_array(offset, item.images)
+            except (ValueError, BufferError, TypeError):
+                # the arena was closed under us (a closed SharedMemory's
+                # buf is None, so frombuffer raises TypeError): the shard
+                # is dying and its EOF path rescues the inflight entry
+                return
         try:
-            shard.send(("batch", bid, item.name, item.images, item.models,
+            shard.send(("batch", bid, item.name, payload, item.models,
                         item.sizes, item.tctx))
         except (OSError, ValueError):
             pass  # pipe broke: the collector's EOF path rescues the entry
@@ -1210,15 +1110,9 @@ class ProcessBackend(ExecutionBackend):
                 "shards": len(self._shards),
                 "alive": sum(1 for s in self._shards if s.alive),
                 "restarts": self.restarts,
-                "start_method": self.start_method,
                 "affinity": self.affinity,
-                "transport": self.transport,
-                "requested_transport": self.requested_transport,
-                "ring_bytes": (
-                    self.ring_bytes if self.transport == "shm" else None
-                ),
+                "ring_bytes": self.ring_bytes,
                 "shm_batches": self._shm_batches,
-                "pipe_batches": self._pipe_batches,
                 "pipe_fallbacks": self._pipe_fallbacks,
                 "placement": placement,
                 "per_shard": per_shard,
@@ -1259,10 +1153,22 @@ class ProcessBackend(ExecutionBackend):
             except OSError:
                 pass
         for shard in shards:
-            remaining = (
-                2.0 if deadline is None else max(0.5, deadline - time.monotonic())
+            shard.process.join(
+                2.0 if deadline is None
+                else max(0.5, deadline - time.monotonic())
             )
-            self._reap_shard(shard, remaining)
+            if shard.process.is_alive():
+                shard.process.terminate()
+                shard.process.join(2.0)
+            try:
+                shard.conn.close()
+            except OSError:
+                pass
+            if shard.reader is not None:
+                shard.reader.join(2.0)
+            # every ring dies with its shard: unlink here so no exit
+            # path can leave /dev/shm entries behind
+            shard.destroy_arenas()
         # fail anything that never came back (shards killed mid-drain)
         leftovers: "list[_Inflight]" = []
         with self._lock:
@@ -1277,22 +1183,19 @@ def make_backend(
     backend: "ExecutionBackend | str",
     n_workers: int = 2,
     n_shards: int = 2,
-    transport: str = "shm",
     placement: "ShardPlacement | dict | None" = None,
     affinity: "str | None" = None,
 ) -> ExecutionBackend:
     """Resolve a backend spec: an instance passes through; ``"thread"``
     and ``"process"`` construct the standard implementations
-    (``transport``, ``placement`` and ``affinity`` apply to the process
-    backend)."""
+    (``placement`` and ``affinity`` apply to the process backend)."""
     if isinstance(backend, ExecutionBackend):
         return backend
     if backend == "thread":
         return ThreadBackend(n_workers=n_workers)
     if backend == "process":
         return ProcessBackend(
-            n_shards=n_shards, transport=transport, placement=placement,
-            affinity=affinity,
+            n_shards=n_shards, placement=placement, affinity=affinity
         )
     raise ValueError(
         f"unknown backend {backend!r}; expected 'thread', 'process', "

@@ -89,13 +89,14 @@ Routes::
 Also a standalone server CLI with execution-backend selection::
 
     python -m repro.serve --registry MODELS_DIR \
-        --backend process --shards 4 --transport shm --affinity auto \
+        --backend process --shards 4 --affinity auto \
         --placement "big=0,1;small=2,3" --max-inflight 256 --port 8000
 
 serves every model in the registry (or ``--model`` picks some), installs
 SIGINT/SIGTERM handlers that drain in-flight requests and reap shard
 processes, blocks until a signal arrives, and prints the aggregated
-backend topology (shards, transport, per-model placement) on exit.
+backend topology (shards, ring and pipe batch counts, per-model
+placement) on exit.
 """
 
 from __future__ import annotations
@@ -764,10 +765,6 @@ def main(argv: "list[str] | None" = None) -> None:
                         help="worker processes for --backend process")
     parser.add_argument("--workers", type=int, default=2,
                         help="worker threads for --backend thread")
-    parser.add_argument("--transport", default="shm",
-                        choices=("pipe", "shm"),
-                        help="process-backend batch transport: shared-memory "
-                             "rings (default) or pickled arrays on pipes")
     parser.add_argument("--affinity", default="none",
                         choices=("auto", "none"),
                         help="process-backend CPU pinning: 'auto' pins shard "
@@ -851,7 +848,6 @@ def main(argv: "list[str] | None" = None) -> None:
         mode=args.mode,
         backend=args.backend,
         n_shards=args.shards,
-        transport=args.transport,
         placement=placement,
         admission=admission,
         affinity=None if args.affinity == "none" else args.affinity,
@@ -871,7 +867,6 @@ def main(argv: "list[str] | None" = None) -> None:
     backend_info = service.backend.info()
     if args.backend == "process":
         topology = (f"shards={backend_info.get('shards')}, "
-                    f"transport={backend_info.get('transport')}, "
                     f"affinity={backend_info.get('affinity')}")
     else:
         topology = f"workers={args.workers}"

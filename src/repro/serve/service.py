@@ -99,7 +99,6 @@ class SconnaService:
         metrics: ServeMetrics | None = None,
         backend: "ExecutionBackend | str" = "thread",
         n_shards: int = 2,
-        transport: str = "shm",
         placement: "object | None" = None,
         admission: "AdmissionPolicy | None" = None,
         affinity: "str | None" = None,
@@ -122,7 +121,7 @@ class SconnaService:
         self.request_log = request_log
         self._backend = make_backend(
             backend, n_workers=n_workers, n_shards=n_shards,
-            transport=transport, placement=placement, affinity=affinity,
+            placement=placement, affinity=affinity,
         )
         self._models: "dict[str, _ModelEntry]" = {}
         self._ids = itertools.count(1)

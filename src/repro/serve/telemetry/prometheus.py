@@ -7,8 +7,8 @@ directly consumable by a Prometheus/VictoriaMetrics scraper across a
 future replica fleet.  Mapping choices:
 
 * monotonically-growing snapshot counts (requests, images, batches,
-  errors, sheds, transport batch counts, ring evictions) render as
-  ``counter``;
+  errors, sheds, ring and pipe-fallback batch counts, ring evictions)
+  render as ``counter``;
 * instantaneous values (uptime, queue depth, in-flight totals and
   per-model gauges, ring occupancy, per-shard liveness) as ``gauge``;
 * the batch-size histogram renders as a real Prometheus ``histogram``
@@ -180,9 +180,8 @@ def render_exposition(snapshot: dict) -> str:
     if backend.get("kind") == "process":
         for key, help_text in (
             ("shm_batches", "Batches dispatched through shared-memory rings."),
-            ("pipe_batches", "Batches dispatched over the pickle pipe."),
             ("pipe_fallbacks",
-             "Shm-transport batches degraded to the pipe by backpressure."),
+             "Batches sent over the pipe: ring full, too small, or missing."),
         ):
             if backend.get(key) is not None:
                 w.header(f"{_PREFIX}_{key}_total", "counter", help_text)

@@ -188,25 +188,28 @@ class TestModelBytesRoundTrip:
 class TestProcessBackend:
     def test_equivalence_bit_identical_per_request(self, setup, process_service):
         """The acceptance test: the same seeded request stream through
-        ThreadBackend, ProcessBackend(pipe) and ProcessBackend(shm)
-        yields bit-identical logits per request (the process fixture
-        runs the default shm transport)."""
+        ThreadBackend, ProcessBackend over its shm rings, and
+        ProcessBackend over the pipe yields bit-identical logits per
+        request.  The pipe leg's 64-byte rings hold no batch, so every
+        batch takes the pipe fallback."""
         qm, ds = setup
         thread_svc = SconnaService(policy=POLICY, n_workers=2)
         thread_svc.add_model("tiny", qm)
         pipe_svc = SconnaService(
-            policy=POLICY, backend="process", n_shards=1, transport="pipe"
+            policy=POLICY, backend=ProcessBackend(n_shards=1, ring_bytes=64)
         )
         pipe_svc.add_model("tiny", qm)
         try:
-            assert process_service.backend.info()["transport"] == "shm"
-            assert pipe_svc.backend.info()["transport"] == "pipe"
             through_threads = seeded_stream(thread_svc, ds)
             through_shm = seeded_stream(process_service, ds)
             through_pipe = seeded_stream(pipe_svc, ds)
             for a, b, c in zip(through_threads, through_shm, through_pipe):
                 assert np.array_equal(a.logits, b.logits)
                 assert np.array_equal(a.logits, c.logits)
+            assert process_service.backend.info()["shm_batches"] >= 1
+            pipe_info = pipe_svc.backend.info()
+            assert pipe_info["shm_batches"] == 0
+            assert pipe_info["pipe_fallbacks"] >= 1
         finally:
             thread_svc.close()
             pipe_svc.close()
@@ -323,7 +326,7 @@ class TestProcessBackend:
 
         qm, ds = setup
         svc = SconnaService(policy=POLICY, backend="process", n_shards=2,
-                            transport="pipe", affinity="auto")
+                            affinity="auto")
         try:
             svc.add_model("tiny", qm)
             pred = svc.predict("tiny", ds.images[0], seed=1, timeout=120.0)

@@ -8,6 +8,7 @@ its work *and* reclaims its segments, ``close()`` is idempotent, and no
 ``/dev/shm/repro_*`` segment survives the backend under any exit path.
 """
 
+import errno
 import glob
 import time
 
@@ -26,6 +27,7 @@ from repro.serve import (
     ShardPlacement,
     ShmArena,
 )
+from repro.serve import backends
 from repro.serve.shm import SEGMENT_PREFIX, attach_arena
 from repro.utils.rng import make_rng
 
@@ -206,7 +208,6 @@ class TestShmTransport:
         try:
             direct = svc.predict("tiny", ds.images[0], ideal=True, timeout=120.0)
             info = backend.info()
-            assert info["transport"] == "shm"
             assert info["pipe_fallbacks"] >= 1
             assert info["shm_batches"] == 0
             from repro.stochastic.error_models import SconnaErrorModel
@@ -234,7 +235,7 @@ class TestShmTransport:
                 f.result(120.0)
             info = backend.info()
             assert info["shm_batches"] >= 1
-            assert info["pipe_batches"] == 0
+            assert info["pipe_fallbacks"] == 0
             # every completed batch returned its tx region
             assert info["per_shard"][0]["ring_bytes_in_use"] == 0
         finally:
@@ -274,6 +275,64 @@ class TestShmTransport:
             svc.close()
         assert not segments_alive(backend.segment_names)
 
+    def test_respawn_without_room_for_rings_runs_ringless(
+        self, setup, monkeypatch, recwarn
+    ):
+        """A shard that crashes while /dev/shm cannot hold fresh rings
+        still comes back: its slot respawns without rings, its batches
+        ride the pipe, seeded logits are unchanged, and nothing leaks."""
+        qm, ds = setup
+        backend = ProcessBackend(n_shards=2)
+        svc = SconnaService(policy=POLICY, backend=backend)
+        # placed on shard 0 only, so the requests below must use the
+        # respawned slot
+        svc.add_model("tiny", qm, placement=[0])
+        try:
+            expected = svc.predict("tiny", ds.images[2], seed=5, timeout=120.0)
+
+            def full(*args, **kwargs):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            monkeypatch.setattr(backends, "ShmArena", full)
+            backend._shards[0].process.terminate()
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                if backend.info()["alive"] == 2 and backend.restarts == 1:
+                    break
+                time.sleep(0.05)
+            info = backend.info()
+            assert backend.restarts == 1
+            assert info["alive"] == 2
+            assert info["per_shard"][0]["ring_bytes_in_use"] is None
+            assert any("without shared-memory rings" in str(w.message)
+                       for w in recwarn.list)
+            fallbacks = info["pipe_fallbacks"]
+            after = svc.predict("tiny", ds.images[2], seed=5, timeout=120.0)
+            assert np.array_equal(after.logits, expected.logits)
+            assert backend.info()["pipe_fallbacks"] > fallbacks
+        finally:
+            svc.close()
+        assert not segments_alive(backend.segment_names)
+
+    def test_failed_construction_reaps_spawned_shards(self, monkeypatch):
+        """A shard that cannot start fails the constructor without
+        leaking the shards and rings spawned before it."""
+        spawned = []
+        original = ProcessBackend._spawn
+
+        def spawn(self, slot):
+            if slot == 1:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            spawned.append(original(self, slot))
+            return spawned[-1]
+
+        monkeypatch.setattr(ProcessBackend, "_spawn", spawn)
+        with pytest.raises(OSError):
+            ProcessBackend(n_shards=2)
+        (shard,) = spawned
+        assert not shard.process.is_alive()
+        assert not segments_alive({shard.tx.name, shard.rx.name})
+
     def test_close_idempotent_and_leak_free(self, setup):
         qm, ds = setup
         backend = ProcessBackend(n_shards=1)
@@ -288,8 +347,6 @@ class TestShmTransport:
             assert not shard.process.is_alive()
 
     def test_transport_validation(self):
-        with pytest.raises(ValueError, match="unknown transport"):
-            ProcessBackend(transport="carrier-pigeon")
         with pytest.raises(ValueError, match="ring_bytes"):
             ProcessBackend(ring_bytes=0)
 

@@ -10,6 +10,7 @@ of it on never changes a single logit bit.
 
 import io
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -22,6 +23,7 @@ from repro.cnn.micro import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.serve import (
     AdmissionPolicy,
     BatchingPolicy,
+    ProcessBackend,
     SconnaClient,
     SconnaService,
     StructuredLogger,
@@ -29,6 +31,7 @@ from repro.serve import (
     parse_exposition,
     serve_http,
 )
+from repro.serve.shm import DEFAULT_RING_BYTES
 from repro.serve.telemetry import POLICY_ALWAYS, POLICY_OFF
 from repro.utils.rng import make_rng
 
@@ -129,16 +132,25 @@ class TestThreadBackendTraces:
 
 
 class TestProcessBackendTraces:
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_shard_spans_rejoin_the_parent_trace(self, setup, transport):
+    @pytest.mark.parametrize("leg", ["pipe", "shm"])
+    def test_shard_spans_rejoin_the_parent_trace(self, setup, leg):
         qm, ds = setup
-        svc = traced_service(qm, backend="process", n_shards=1,
-                             transport=transport)
+        # the pipe leg's 64-byte rings hold no batch: it rides the pipe
+        ring_bytes = 64 if leg == "pipe" else DEFAULT_RING_BYTES
+        svc = traced_service(
+            qm, backend=ProcessBackend(n_shards=1, ring_bytes=ring_bytes)
+        )
         try:
             pred = svc.predict("tiny", ds.images[1], seed=5, timeout=120.0)
         finally:
             svc.close()
         assert pred.logits.shape == (1, N_CLASSES)
+        info = svc.backend.info()
+        if leg == "pipe":
+            assert info["shm_batches"] == 0
+            assert info["pipe_fallbacks"] >= 1
+        else:
+            assert info["shm_batches"] >= 1
         trace = svc.tracer.store.latest()
         assert trace is not None
         names = span_names(trace)
@@ -150,9 +162,7 @@ class TestProcessBackendTraces:
         # the shard's span is grafted under the parent's dispatch span
         assert shard.parent_id == dispatch.span_id
         assert dispatch.tags["backend"] == "process"
-        assert dispatch.tags["transport"] in ("pipe", "shm")
-        if transport == "pipe":
-            assert dispatch.tags["transport"] == "pipe"
+        assert dispatch.tags["transport"] == leg
         assert shard.tags["shard"] == dispatch.tags["shard"]
         # monotonic clocks are system-wide: the shard's window nests
         # inside the parent's dispatch window
@@ -164,13 +174,40 @@ class TestProcessBackendTraces:
         assert prof and all(p.tags.get("shard") == shard.tags["shard"]
                             for p in prof)
 
+    def test_trace_and_exposition_over_http(self, setup):
+        """Behind HTTP, a process-backend response's trace id resolves
+        to a tree whose shard span hangs under the dispatch span, and
+        the exposition parses and counts ring batches."""
+        qm, ds = setup
+        svc = traced_service(qm, backend="process", n_shards=1)
+        server, _ = serve_http(svc)
+        try:
+            with SconnaClient(server.url) as client:
+                pred = client.predict(ds.images[0], model="tiny", seed=3)
+                doc = client.trace(pred.trace_id)
+            with urllib.request.urlopen(
+                f"{server.url}/v1/metrics?format=prometheus"
+            ) as resp:
+                text = resp.read().decode()
+        finally:
+            server.shutdown()
+            svc.close()
+        by_id = {s["span_id"]: s for s in doc["spans"]}
+        assert "http.request" in {s["name"] for s in doc["spans"]}
+        shard_spans = [s for s in doc["spans"] if s["name"] == "shard.execute"]
+        assert shard_spans and all(
+            by_id[s["parent_id"]]["name"] == "backend.dispatch"
+            for s in shard_spans
+        )
+        values = {n: v for n, l, v in parse_exposition(text) if not l}
+        assert values["sconna_shm_batches_total"] >= 1
+
     def test_logits_bit_identical_with_profiling_over_shm(self, setup):
         qm, ds = setup
         results = {}
         for key, policy in (("off", POLICY_OFF), ("on", POLICY_ALWAYS)):
             svc = SconnaService(policy=POLICY, trace_policy=policy,
-                                backend="process", n_shards=1,
-                                transport="shm")
+                                backend="process", n_shards=1)
             svc.add_model("tiny", qm)
             try:
                 results[key] = svc.predict("tiny", ds.images[:2], seed=11,
@@ -270,8 +307,15 @@ class TestHTTPSurface:
         svc, server, log_stream = http
         with SconnaClient(server.url, wire_format="json") as client:
             pred = client.predict(ds.images[4], model="tiny", seed=8)
-        lines = [json.loads(l) for l in log_stream.getvalue().splitlines()]
-        requests = [l for l in lines if l["event"] == "request"]
+        # the handler writes the access line after the response is
+        # flushed, so predict() can return first: wait for the line
+        deadline = time.monotonic() + 10.0
+        while True:
+            lines = [json.loads(l) for l in log_stream.getvalue().splitlines()]
+            requests = [l for l in lines if l["event"] == "request"]
+            if requests or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
         assert len(requests) == 1
         line = requests[0]
         assert line["trace_id"] == pred.trace_id

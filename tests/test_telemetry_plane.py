@@ -202,8 +202,7 @@ SNAPSHOT = {
     "backend": {
         "kind": "process",
         "shm_batches": 4,
-        "pipe_batches": 1,
-        "pipe_fallbacks": 0,
+        "pipe_fallbacks": 1,
         "restarts": 0,
         "per_shard": [
             {"shard": 0, "alive": True, "in_flight": 1,
@@ -227,6 +226,8 @@ class TestPrometheus:
         assert by_name["sconna_requests_total"] == [({}, 7.0)]
         assert by_name["sconna_uptime_seconds"] == [({}, 12.5)]
         assert by_name["sconna_queue_depth"] == [({}, 3.0)]
+        assert by_name["sconna_shm_batches_total"] == [({}, 4.0)]
+        assert by_name["sconna_pipe_fallbacks_total"] == [({}, 1.0)]
         # escaped label value round-trips to the original model name
         inflight = dict(
             (labels["model"], value)
