@@ -254,9 +254,9 @@ def check_equivalence(url, images) -> None:
 
 
 def main() -> None:
-    import os
-
     import numpy as np
+
+    from repro.utils.cores import usable_cores
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--requests", type=int, default=400,
@@ -283,8 +283,7 @@ def main() -> None:
     if args.smoke:
         args.requests = min(args.requests, 80)
         args.repeats = 1
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else (os.cpu_count() or 1)
+    cores = len(usable_cores())
 
     images = np.ascontiguousarray(
         np.asarray(make_batch(), dtype=np.float64)

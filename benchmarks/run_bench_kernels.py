@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import time
 from datetime import datetime, timezone
@@ -38,14 +37,6 @@ def best_time(fn, repeats: int = 5, warmup: int = 1) -> float:
     return min(times)
 
 
-def cpu_cores() -> int:
-    """Cores actually usable (CI pins the bench with taskset)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
 def main(smoke: bool = False, json_out: "Path | None" = None) -> None:
     from repro.arch.events import EventKernel
     from repro.cnn.engine import (
@@ -58,6 +49,7 @@ def main(smoke: bool = False, json_out: "Path | None" = None) -> None:
     from repro.stochastic.arithmetic import sc_vdp
     from repro.stochastic.lut import OsmLookupTable
     from repro.utils import native
+    from repro.utils.cores import usable_cores
 
     rng = np.random.default_rng(0)
     results = []
@@ -75,7 +67,7 @@ def main(smoke: bool = False, json_out: "Path | None" = None) -> None:
         if note:
             entry["note"] = note
         results.append(entry)
-        line = f"{op:36s} {seconds * 1e3:9.2f} ms"
+        line = f"{op:42s} {seconds * 1e3:9.2f} ms"
         if reference_s is not None:
             line += f"   ({reference_s / seconds:5.1f}x vs reference)"
         print(line)
@@ -158,18 +150,23 @@ def main(smoke: bool = False, json_out: "Path | None" = None) -> None:
 
     # -- whole-network end to end: the fused plan -------------------------
     # One proxy CNN, batch 8, int8 and sconna (ideal ADC, so the run is
-    # deterministic and the time is pure execution cost).  The fused
-    # NetworkPlan must be bit-identical to the per-layer oracle -
-    # asserted here before timing; the oracle itself is not timed.
+    # deterministic and the time is pure execution cost), then the
+    # served sconna path: seeded per-request ADC noise at batch 1, 8
+    # and 32.  The fused NetworkPlan must be bit-identical to the
+    # per-layer oracle - asserted here before timing; the oracle itself
+    # is not timed.
     from repro.cnn.datasets import IMAGE_SHAPE
     from repro.cnn.inference import QuantizedModel
     from repro.cnn.train import build_proxy
-    from repro.stochastic.error_models import SconnaErrorModel
+    from repro.stochastic.error_models import (
+        PerRequestErrorModels,
+        SconnaErrorModel,
+    )
 
     calib = rng.random((32, *IMAGE_SHAPE))
     qm = QuantizedModel.from_trained(build_proxy("mnet_proxy"), calib)
     x = rng.random((8, *IMAGE_SHAPE))
-    e2e_reps = 10 if smoke else 60
+    e2e_reps = 30 if smoke else 60
     for mode in ("int8", "sconna"):
         def em():
             return SconnaErrorModel(adc_mape=0.0) if mode == "sconna" else None
@@ -188,12 +185,39 @@ def main(smoke: bool = False, json_out: "Path | None" = None) -> None:
                  + (", ideal ADC" if mode == "sconna" else ""),
         )
 
+    def served(batch):
+        # one seeded ADC model per image, built per call as served
+        # traffic builds them
+        return PerRequestErrorModels(
+            [SconnaErrorModel(seed=s) for s in range(batch)]
+        )
+
+    xs = rng.random((32, *IMAGE_SHAPE))
+    for batch in (1, 8, 32):
+        xb = xs[:batch]
+        assert np.array_equal(
+            qm.forward(xb, mode="sconna", error_model=served(batch),
+                       fused=False),
+            qm.forward(xb, mode="sconna", error_model=served(batch),
+                       fused=True),
+        ), "noisy fused plan diverged from the per-layer oracle"
+        t_fus = best_time(
+            lambda: qm.forward(xb, mode="sconna", error_model=served(batch),
+                               fused=True),
+            repeats=e2e_reps, warmup=3,
+        )
+        record(
+            f"mnet_proxy_e2e_batch{batch}_sconna_noisy_fused", t_fus, batch,
+            "img/s",
+            note="whole-network fused plan, seeded per-request ADC noise",
+        )
+
     payload = {
         "generated_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "cores": cpu_cores(),
+        "cores": len(usable_cores()),
         "native_kernel": native.native_available(),
         "results": results,
     }

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
 import tempfile
@@ -396,6 +395,7 @@ def parse_shards(spec: str) -> "list[int]":
 
 def main() -> None:
     from repro.serve import BatchingPolicy
+    from repro.utils.cores import usable_cores
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--model", default="mnet_proxy",
@@ -437,8 +437,7 @@ def main() -> None:
                              "off / sampled (1/16) / always-on and record "
                              "the req/s deltas")
     args = parser.parse_args()
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else (os.cpu_count() or 1)
+    cores = len(usable_cores())
     if args.shards is None:
         args.shards = sorted({2, cores} - {1}) or [2]
     modes = ("int8",) if args.smoke else ("int8", "sconna")

@@ -291,9 +291,13 @@ class SconnaEngine:
         ``out`` (optional) is a preallocated float64 ``(B, L, P)`` result
         buffer.  ``profile`` (optional) collects
         ``(name, start_s, end_s, tags)`` timing tuples for the BLAS and
-        remainder terms; timing reads the clock around unchanged
-        arithmetic, so results stay bit-identical with profiling on or
-        off.
+        remainder terms and the ADC-noise draw; timing reads the clock
+        around unchanged arithmetic, so results stay bit-identical with
+        profiling on or off.
+
+        The noise is drawn with ``error_model.apply_to_counts(counts,
+        out=...)`` into a pooled buffer, in place: the same generator
+        calls as the oracle's allocating form, so the same bits.
         """
         b, q, p = cols.shape
         if q != plan.n_in:
@@ -305,6 +309,8 @@ class SconnaEngine:
         af, a_lo = self._load_activations(plan, cols, kind)
         rem = self.pool.get("rem", (b, 2 * l, p), np.int32)
         s_buf = self.pool.get("s", (b, 2 * l, p), np.float64)
+        if apply_error:
+            noisy = self.pool.get("noise", (b, 2 * l, p), np.float64)
         if out is None:
             out = np.zeros((b, l, p), dtype=np.float64)
         else:
@@ -326,7 +332,10 @@ class SconnaEngine:
             np.subtract(s, rem, out=s)
             s *= inv_scale  # exact: s - rem is a multiple of 2**B
             if apply_error:
-                s = error_model.apply_to_counts(s).astype(np.float64)
+                t0 = time.monotonic() if profile is not None else 0.0
+                s = error_model.apply_to_counts(s, out=noisy)
+                if profile is not None:
+                    profile.append(("engine.noise", t0, time.monotonic(), {}))
             out += s[:, :l, :]
             out -= s[:, l:, :]
         return out

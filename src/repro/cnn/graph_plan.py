@@ -43,6 +43,13 @@ native kernel).  No timing pass runs at plan time.  The picks are
 recorded, not persisted, in the model's ``autotune`` dict so benchmarks
 and operators can see what runs.
 
+**Request-parallel execution.**  :meth:`NetworkPlan.try_execute` cuts
+a noisy per-request batch between requests into image-balanced chunks
+and runs them at once on helper threads, within the process-wide
+:data:`CORE_BUDGET`.  Each chunk runs the shape program of its own
+size, and no request's rows depend on another's, so the concatenated
+logits are the unsplit forward's bits.
+
 The per-layer path in :class:`~repro.cnn.inference.QuantizedModel` is
 the oracle - quantize, im2col, exact integer contraction or
 :func:`~repro.cnn.engine.sconna_matmul_reference`; ``forward(...,
@@ -51,14 +58,20 @@ fused=False)`` forces it.
 
 from __future__ import annotations
 
+import bisect
+import os
 import threading
 import time
+from collections.abc import Sequence
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.cnn.functional import conv_output_hw, im2col, max_pool2d
 from repro.cnn.micro import Flatten, MaxPool2d, ReLU
+from repro.stochastic.error_models import PerRequestErrorModels
+from repro.utils.cores import usable_cores
 
 
 class _Unsupported(Exception):
@@ -423,7 +436,9 @@ class _ShapeProgram:
     ) -> np.ndarray:
         # ``profile`` (optional) collects ``(name, start_s, end_s, tags)``
         # timing tuples per stage - quantize / pool / im2col / matmul /
-        # requantize / tail - for the telemetry plane.  Clock reads wrap
+        # requantize / tail, plus the engine's matmul / remainder /
+        # noise spans, each but quantize and tail tagged with its stage
+        # index - for the telemetry plane.  Clock reads wrap
         # unchanged arithmetic, so logits are bit-identical either way,
         # and a None profile adds one predicate per stage, nothing more.
         pool = self.model._engine.pool
@@ -489,12 +504,16 @@ class _ShapeProgram:
             else:  # sconna linear: the grid already is the column view
                 cols = src.reshape(*src.shape, 1)
             if self.mode == "sconna":
+                first = len(profile) if profile is not None else 0
                 if apply_err:
                     eng.matmul(stage.plan, cols, error_model, out=counts,
                                profile=profile)
                 else:
                     eng.matmul_ideal(stage.plan, cols, out=counts,
                                      profile=profile)
+                if profile is not None:
+                    for span in profile[first:]:
+                        span[3]["stage"] = si
             else:
                 t0 = clock() if profile is not None else 0.0
                 if stage.kind == "conv":
@@ -657,14 +676,146 @@ class NetworkPlan:
         profile: "list | None" = None,
     ) -> "np.ndarray | None":
         """Run fused, or return None so the caller takes the reference
-        path."""
-        x = np.asarray(images)
-        if x.ndim < 2:
-            return None
-        prog = self.program_for(mode, x.shape)
-        if prog is None:
-            return None
-        return prog.run(x, error_model, trace, profile)
+        path.
 
+        A noisy :class:`PerRequestErrorModels` batch runs as
+        image-balanced chunks at once, cut only between requests: the
+        first chunk on the calling thread, the others on helper threads,
+        as many as :data:`CORE_BUDGET` spares.  Each request owns its
+        generator, so every chunk computes exactly the rows it would
+        compute unsplit and the concatenated logits are the same bits.
+        Every other batch runs whole: one noisy model's single RNG
+        stream spans the batch, and int8 or ideal-ADC batches are not
+        split until a benchmark measures that path on more than one
+        core.  ``trace`` follows the first chunk; helper chunks'
+        ``profile`` spans carry a ``chunk`` tag.
+        """
+        x = np.asarray(images)
+        if x.ndim < 2 or not self.supports(mode):
+            return None
+        cuts = ()
+        if (
+            mode == "sconna"
+            and isinstance(error_model, PerRequestErrorModels)
+            and not error_model.ideal()
+        ):
+            cuts = error_model.cut_points(x.shape[0])
+        held = CORE_BUDGET.take(len(cuts) + 1)
+        try:
+            if held > 1:
+                bounds = _chunk_bounds(x.shape[0], cuts, held)
+                CORE_BUDGET.give(held - len(bounds))  # cores no chunk uses
+                held = len(bounds)
+            if held == 1:
+                prog = self.program_for(mode, x.shape)
+                if prog is None:
+                    return None
+                return prog.run(x, error_model, trace, profile)
+            return self._run_chunks(x, mode, error_model, bounds, trace,
+                                    profile)
+        finally:
+            CORE_BUDGET.give(held)
+
+    def _run_chunks(self, x, mode, error_model, bounds, trace, profile):
+        """Run ``x[start:stop]`` for each of ``bounds`` at once, each
+        with its own requests' slice of ``error_model``, and concatenate
+        the logits."""
+        progs = [
+            self.program_for(mode, (stop - start, *x.shape[1:]))
+            for start, stop in bounds
+        ]
+        if progs[0] is None:  # support never depends on batch size
+            return None
+        models = error_model.split(bounds)
+        spans = [None if profile is None else [] for _ in bounds]
+        helpers = [
+            CORE_BUDGET.submit(prog.run, x[start:stop], em, None, sub)
+            for prog, (start, stop), em, sub in zip(
+                progs[1:], bounds[1:], models[1:], spans[1:]
+            )
+        ]
+        try:
+            parts = [progs[0].run(x[: bounds[0][1]], models[0], trace,
+                                  profile)]
+        finally:
+            futures.wait(helpers)
+        parts.extend(f.result() for f in helpers)
+        if profile is not None:
+            for i, sub in enumerate(spans[1:], 1):
+                profile.extend(
+                    (name, t0, t1, dict(tags, chunk=i))
+                    for name, t0, t1, tags in sub
+                )
+        return np.concatenate(parts)
+
+
+def _chunk_bounds(
+    n_images: int, cuts: "Sequence[int]", n: int
+) -> "list[tuple[int, int]]":
+    """Up to ``n`` ``[start, stop)`` image ranges of about
+    ``n_images / n`` images each, cut only at the sorted ``cuts``."""
+    edges = [0]
+    for k in range(1, n):
+        target = k * n_images / n
+        lo = bisect.bisect_right(cuts, edges[-1])
+        hi = bisect.bisect_left(cuts, target, lo)
+        near = [cuts[i] for i in (hi - 1, hi) if lo <= i < len(cuts)]
+        if not near:
+            break
+        edges.append(min(near, key=lambda c: abs(c - target)))
+    edges.append(n_images)
+    return list(zip(edges, edges[1:]))
+
+
+class _CoreBudget:
+    """The process's cores, shared out among running fused forwards.
+
+    Every running forward holds one core, even when all are held
+    already: a serving thread never waits for the budget.  A forward
+    whose batch can split takes the spare cores too, without waiting,
+    and runs one chunk per core held, so a split only ever starts on
+    cores no other forward holds.  A forward that starts while a split
+    runs still runs on its own thread, though: ``n`` concurrent forwards
+    run on at most ``n + cores - 1`` threads (``cores - 1`` helpers),
+    not ``n``.  ``cores`` is the affinity mask's size unless a serving
+    shard set its share of the host first.  The helper threads start on
+    first use.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.cores: "int | None" = None
+        self.held = 0
+        self._helpers: "futures.ThreadPoolExecutor | None" = None
+
+    def take(self, want: int) -> int:
+        """Hold one core plus up to ``want - 1`` spare ones; returns how
+        many are held (>= 1)."""
+        with self._lock:
+            if self.cores is None:
+                self.cores = len(usable_cores())
+            n = max(1, min(want, self.cores - self.held))
+            self.held += n
+            return n
+
+    def give(self, n: int) -> None:
+        with self._lock:
+            self.held -= n
+
+    def submit(self, fn, *args) -> "futures.Future":
+        """Run ``fn(*args)`` on one of ``cores - 1`` helper threads; the
+        budget never lets more helper chunks be due at once."""
+        with self._lock:
+            if self._helpers is None:
+                self._helpers = futures.ThreadPoolExecutor(
+                    max(1, self.cores - 1), thread_name_prefix="sconna-chunk"
+                )
+        return self._helpers.submit(fn, *args)
+
+
+#: this process's core budget for fused forwards
+CORE_BUDGET = _CoreBudget()
+# a forked child inherits neither the helper threads nor the holders
+os.register_at_fork(after_in_child=CORE_BUDGET.__init__)
 
 _MISSING = object()

@@ -92,13 +92,32 @@ class AdcErrorModel:
     def sigma(self) -> float:
         return self.mape * math.sqrt(math.pi / 2.0)
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Perturb integer VDP results with the calibrated relative error."""
+    def apply(
+        self, values: np.ndarray, *, out: "np.ndarray | None" = None
+    ) -> np.ndarray:
+        """Perturb integer VDP results with the calibrated relative error.
+
+        Returns int64 counts.  With ``out`` (a C-contiguous float64
+        array of ``values``' shape that does not overlap it) the same
+        counts are written there as float64 and returned, with no
+        temporary: the draw lands in ``out`` and is scaled, offset and
+        multiplied in place.  ``normal(0, sigma)`` is
+        ``0 + sigma * standard_normal`` with the same generator calls,
+        so both forms give the same bits.
+        """
         v = np.asarray(values, dtype=float)
+        if out is None:
+            if self.mape == 0.0:
+                return np.rint(v).astype(np.int64)
+            eps = self._rng.normal(0.0, self.sigma, size=v.shape)
+            return np.rint(v * (1.0 + eps)).astype(np.int64)
         if self.mape == 0.0:
-            return np.rint(v).astype(np.int64)
-        eps = self._rng.normal(0.0, self.sigma, size=v.shape)
-        return np.rint(v * (1.0 + eps)).astype(np.int64)
+            return np.rint(v, out=out)
+        self._rng.standard_normal(out=out)
+        out *= self.sigma
+        out += 1.0
+        out *= v
+        return np.rint(out, out=out)
 
     def measured_mape(self, n_samples: int = 200_000, magnitude: float = 1e4) -> float:
         """Monte-Carlo estimate of the realised MAPE (for calibration tests)."""

@@ -72,6 +72,7 @@ from repro.serve.shm import (
     attach_arena,
 )
 from repro.stochastic.error_models import PerRequestErrorModels, SconnaErrorModel
+from repro.utils.cores import usable_cores
 
 #: shard processes start with "spawn": forking a parent that already
 #: runs scheduler and HTTP threads is a deadlock lottery
@@ -447,6 +448,7 @@ class _Shard:
     tx_alloc: "RingAllocator | None" = None
     tx_offsets: "dict[int, int]" = field(default_factory=dict)  #: bid -> tx offset
     cpus: "tuple[int, ...] | None" = None   #: CPU pin requested for this shard
+    cores: int = 1                   #: the shard's core budget
 
     def send(self, msg: tuple) -> None:
         with self.send_lock:
@@ -460,14 +462,17 @@ class _Shard:
                 arena.destroy()
 
 
-def _shard_main(conn, shard_id: int, shm_spec=None, cpus=None) -> None:
+def _shard_main(
+    conn, shard_id: int, shm_spec=None, cpus=None, cores: int = 1
+) -> None:
     """Entry point of one shard worker process.
 
     A single-threaded loop: receive a message, act, reply.  One
     execution thread per shard is the sharding model - parallelism comes
-    from running N of these processes.  The loop exits on a ``stop``
-    message or when the pipe reaches EOF (the parent died), so shards
-    can never outlive their parent as orphans.
+    from running N of these processes, plus the fused forward's helper
+    threads when the shard's ``cores`` exceed one.  The loop exits on a
+    ``stop`` message or when the pipe reaches EOF (the parent died), so
+    shards can never outlive their parent as orphans.
 
     ``shm_spec`` is ``(tx_name, rx_name, ring_bytes)``, or ``None`` for
     a shard without rings: the shard *attaches* to the parent-owned
@@ -488,6 +493,12 @@ def _shard_main(conn, shard_id: int, shm_spec=None, cpus=None) -> None:
     from cache; with one, each shard's working set stays resident.
     Pinning is best-effort - platforms without ``sched_setaffinity``
     (or a CPU set the kernel rejects) just run unpinned.
+
+    ``cores`` is this shard's share of the host, the core budget its
+    fused forwards split batches over (see
+    :data:`repro.cnn.graph_plan.CORE_BUDGET`): ``max(1, cores //
+    n_shards)``, or the one pinned core, so shards that already fill
+    the host never split.
     """
     import signal
 
@@ -498,10 +509,13 @@ def _shard_main(conn, shard_id: int, shm_spec=None, cpus=None) -> None:
         except OSError:
             pass  # a core went offline, or the mask is disallowed
 
+    from repro.cnn.graph_plan import CORE_BUDGET
     from repro.cnn.serialization import (
         load_quantized_model,
         loads_quantized_model,
     )
+
+    CORE_BUDGET.cores = cores
 
     tx = rx = rx_alloc = None
     if shm_spec is not None:
@@ -667,8 +681,10 @@ class ProcessBackend(ExecutionBackend):
         #: other platforms the knob is accepted and ignored.
         self.affinity = affinity
         self._cores: "tuple[int, ...] | None" = None
-        if affinity == "auto" and hasattr(os, "sched_getaffinity"):
-            self._cores = tuple(sorted(os.sched_getaffinity(0)))
+        if affinity == "auto" and hasattr(os, "sched_setaffinity"):
+            self._cores = usable_cores()
+        #: each unpinned shard's core budget: its share of the host
+        self._shard_cores = max(1, len(usable_cores()) // n_shards)
         self.ring_bytes = int(ring_bytes)
         if placement is None or isinstance(placement, ShardPlacement):
             self.placement = placement
@@ -732,10 +748,11 @@ class ProcessBackend(ExecutionBackend):
         cpus = None
         if self._cores:
             cpus = (self._cores[slot % len(self._cores)],)
+        cores = len(cpus) if cpus else self._shard_cores
         parent_conn, child_conn = _MP.Pipe(duplex=True)
         process = _MP.Process(
             target=_shard_main,
-            args=(child_conn, slot, shm_spec, cpus),
+            args=(child_conn, slot, shm_spec, cpus, cores),
             name=f"sconna-shard-{slot}",
             daemon=True,  # belt: the pipe-EOF exit in _shard_main is the braces
         )
@@ -748,7 +765,8 @@ class ProcessBackend(ExecutionBackend):
             raise
         child_conn.close()  # the parent keeps only its own end
         shard = _Shard(slot=slot, process=process, conn=parent_conn,
-                       tx=tx, rx=rx, tx_alloc=tx_alloc, cpus=cpus)
+                       tx=tx, rx=rx, tx_alloc=tx_alloc, cpus=cpus,
+                       cores=cores)
         shard.reader = threading.Thread(
             target=self._collect, args=(shard,),
             name=f"sconna-shard-{slot}-collector", daemon=True,
@@ -1102,6 +1120,7 @@ class ProcessBackend(ExecutionBackend):
                         s.tx_alloc.stats() if s.tx_alloc is not None else None
                     ),
                     "cpus": None if s.cpus is None else list(s.cpus),
+                    "cores": s.cores,
                 }
                 for s in self._shards
             ]

@@ -18,6 +18,7 @@ inference engine can apply per layer.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,12 +59,16 @@ class SconnaErrorModel:
         self,
         counts: np.ndarray,
         skirt_slots: np.ndarray | None = None,
+        *,
+        out: "np.ndarray | None" = None,
     ) -> np.ndarray:
         """Perturb ideal PCA counts.
 
         ``skirt_slots`` (same shape as ``counts``) gives, per VDP, the
         number of single-operand-'1' slots whose leakage charge lands on
-        the PCA; omitted when ``skirt_leakage == 0``.
+        the PCA; omitted when ``skirt_leakage == 0``.  ``out`` selects
+        the in-place float64 form of :meth:`AdcErrorModel.apply` (same
+        bits as the int64 result).
         """
         vals = np.asarray(counts, dtype=float)
         if self.skirt_leakage > 0.0:
@@ -72,7 +77,7 @@ class SconnaErrorModel:
                     "skirt_slots required when skirt_leakage is enabled"
                 )
             vals = vals + self.skirt_leakage * np.asarray(skirt_slots, dtype=float)
-        return self._adc.apply(vals)
+        return self._adc.apply(vals, out=out)
 
     def ideal(self) -> bool:
         return self.adc_mape == 0.0 and self.skirt_leakage == 0.0
@@ -115,18 +120,32 @@ class PerRequestErrorModels:
     def ideal(self) -> bool:
         return all(m is None or m.ideal() for m in self.models)
 
+    def _check_batch(self, n_images: int) -> None:
+        if n_images != self.n_images:
+            raise ValueError(
+                f"batch axis {n_images} does not match the "
+                f"{self.n_images} images of the registered requests"
+            )
+
     def apply_to_counts(
         self,
         counts: np.ndarray,
         skirt_slots: np.ndarray | None = None,
+        *,
+        out: "np.ndarray | None" = None,
     ) -> np.ndarray:
+        """Apply each request's model to its own slice of the batch axis.
+
+        Returns float64 counts.  Without ``out`` each noisy request
+        takes the allocating int64 form; with ``out`` (C-contiguous
+        float64, ``counts``' shape, not overlapping it) every slice is
+        perturbed in place there - same generator calls, same bits.
+        """
         vals = np.asarray(counts, dtype=float)
-        if vals.shape[0] != self.n_images:
-            raise ValueError(
-                f"batch axis {vals.shape[0]} does not match the "
-                f"{self.n_images} images of the registered requests"
-            )
-        out = np.empty_like(vals)
+        self._check_batch(vals.shape[0])
+        fresh = out is None
+        if fresh:
+            out = np.empty_like(vals)
         start = 0
         for model, size in zip(self.models, self.sizes):
             sl = slice(start, start + size)
@@ -135,12 +154,50 @@ class PerRequestErrorModels:
                 # branch's integer quantization without perturbing them
                 np.rint(vals[sl], out=out[sl])
             else:
-                out[sl] = model.apply_to_counts(
+                noisy = model.apply_to_counts(
                     vals[sl],
                     None if skirt_slots is None else skirt_slots[sl],
+                    out=None if fresh else out[sl],
                 )
+                if fresh:
+                    out[sl] = noisy
             start += size
         return out
+
+    def cut_points(self, n_images: int) -> "list[int]":
+        """Image offsets where a batch of these requests can be cut into
+        pieces computed independently: every request boundary, since a
+        request's noise depends only on its own generator and image
+        count.  None at all when two noisy requests share one generator,
+        whose draws would then depend on the order the pieces ran in.
+        Raises ``ValueError`` when the batch does not hold exactly these
+        requests' ``n_images`` images.
+        """
+        self._check_batch(n_images)
+        gens = [
+            id(m._adc._rng)
+            for m in self.models
+            if m is not None and not m.ideal()
+        ]
+        if len(set(gens)) < len(gens):
+            return []
+        return list(itertools.accumulate(self.sizes[:-1]))
+
+    def split(
+        self, bounds: "list[tuple[int, int]]"
+    ) -> "list[PerRequestErrorModels]":
+        """The composites of the ``[start, stop)`` image ranges
+        ``bounds``, each cut at :meth:`cut_points`."""
+        first = {
+            s: i
+            for i, s in enumerate(itertools.accumulate(self.sizes, initial=0))
+        }
+        return [
+            PerRequestErrorModels(
+                self.models[first[a]:first[b]], self.sizes[first[a]:first[b]]
+            )
+            for a, b in bounds
+        ]
 
 
 @dataclass

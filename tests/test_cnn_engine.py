@@ -170,6 +170,19 @@ class TestBitExactEquivalence:
         ideal = sconna_matmul_reference(cols, w, 8, 16)
         assert not np.array_equal(ideal, ref), "noise must perturb"
 
+    def test_skirt_leakage_raises_on_in_place_noise(self, engines):
+        """The engine has no per-VDP slot statistics, so a leaky model
+        must fail loudly on the in-place draw, alone or per request."""
+        rng = np.random.default_rng(16)
+        cols = rng.integers(0, 257, size=(2, 20, 3)).astype(np.int64)
+        plan = compile_layer_plan(
+            rng.integers(-256, 257, size=(3, 20)).astype(np.int64), 8, 16
+        )
+        leaky = SconnaErrorModel(seed=1, skirt_leakage=0.02)
+        for em in (leaky, PerRequestErrorModels([SconnaErrorModel(seed=2), leaky])):
+            with pytest.raises(ValueError, match="skirt_slots"):
+                engines[0].matmul(plan, cols, em)
+
     def test_reference_rejects_q_mismatch(self):
         """Like SconnaEngine.matmul: a wrong-geometry request must fail,
         not return counts."""

@@ -6,17 +6,23 @@ batch size - the fused path may only ever change wall time.  Also
 locked here: the integer-native seams (an int8/uint8 batch never
 materialises float64 between entry and logits), arena-slot reuse, and
 the kernel rule each sconna stage's remainder kernel comes from, as the
-plan records it in the model's ``autotune`` dict.
+plan records it in the model's ``autotune`` dict, and the
+request-parallel split: a noisy per-request batch cut into chunks on
+helper threads returns the unsplit forward's bits.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from repro.cnn import graph_plan
 from repro.cnn.engine import SconnaEngine, compile_layer_plan
 from repro.cnn.inference import QuantizedModel
 from repro.cnn.train import PROXY_MODELS, build_proxy
 from repro.cnn.datasets import IMAGE_SHAPE
-from repro.stochastic.error_models import SconnaErrorModel
+from repro.stochastic.error_models import PerRequestErrorModels, SconnaErrorModel
 from repro.utils import native
 
 
@@ -205,3 +211,258 @@ class TestAutotune:
         ref = qm.forward(x, mode="sconna", error_model=SconnaErrorModel(seed=4),
                          fused=False)
         assert np.array_equal(ref, fus)
+
+
+def _requests(seeds, sizes):
+    """Per-request error models: an int seed is a noisy request, None an
+    ideal-datapath one, ``"ideal"`` an ideal-ADC model."""
+    models = [
+        None if s is None
+        else SconnaErrorModel(adc_mape=0.0) if s == "ideal"
+        else SconnaErrorModel(seed=s)
+        for s in seeds
+    ]
+    return PerRequestErrorModels(models, sizes)
+
+
+#: mixed ideal/noisy requests with multi-image stacks; 32 images
+MIXED = ((3, None, "ideal", 17, 5, None, 23), (3, 1, 4, 8, 2, 6, 8))
+
+
+@pytest.fixture
+def submits(monkeypatch):
+    """The image count of each chunk the core budget sends to a
+    helper thread."""
+    calls = []
+    real = graph_plan.CORE_BUDGET.submit
+
+    def spy(fn, *args):
+        calls.append(args[0].shape[0])
+        return real(fn, *args)
+
+    monkeypatch.setattr(graph_plan.CORE_BUDGET, "submit", spy)
+    return calls
+
+
+def _cut_at(monkeypatch, *edges):
+    """Force the split path to cut at ``edges`` (with enough cores)."""
+    monkeypatch.setattr(graph_plan.CORE_BUDGET, "cores", len(edges) + 1)
+    monkeypatch.setattr(
+        graph_plan, "_chunk_bounds",
+        lambda n, cuts, held: list(zip((0, *edges), (*edges, n))),
+    )
+
+
+class TestRequestParallel:
+    """A noisy per-request batch runs as chunks on helper threads, cut
+    between requests; the concatenated logits must be the unsplit
+    forward's and the oracle's, bit for bit.  Every other batch runs
+    whole."""
+
+    @pytest.fixture(scope="class")
+    def references(self, models):
+        x = _batch(32, seed=20)
+        out = {}
+        for name, qm in models.items():
+            out[name, "noisy"] = qm.forward(
+                x, mode="sconna", error_model=_requests(range(1, 33), None),
+                fused=False,
+            )
+            out[name, "int8"] = qm.forward(x, mode="int8", fused=False)
+            out[name, "ideal"] = qm.forward(
+                x, mode="sconna", error_model=SconnaErrorModel(adc_mape=0.0),
+                fused=False,
+            )
+        return x, out
+
+    @pytest.mark.parametrize("cut", [1, 7, 13, 31])
+    def test_request_boundary_cuts(self, models, references, monkeypatch,
+                                   submits, cut):
+        x, oracle = references
+        monkeypatch.setattr(graph_plan.CORE_BUDGET, "cores", 1)
+        unsplit = {
+            name: qm.forward(x, mode="sconna",
+                             error_model=_requests(range(1, 33), None))
+            for name, qm in models.items()
+        }
+        _cut_at(monkeypatch, cut)
+        for name, qm in models.items():
+            split = qm.forward(x, mode="sconna",
+                               error_model=_requests(range(1, 33), None))
+            assert split.tobytes() == unsplit[name].tobytes()
+            assert split.tobytes() == oracle[name, "noisy"].tobytes()
+        assert submits == [32 - cut] * len(models)
+        assert graph_plan.CORE_BUDGET.held == 0
+
+    @pytest.mark.parametrize("path", ["int8", "ideal"])
+    def test_int8_and_ideal_run_whole(self, models, references, monkeypatch,
+                                      submits, path):
+        """No benchmark times these paths on more than one core, so they
+        never split, even where the cut points are forced."""
+        x, oracle = references
+        mode = "int8" if path == "int8" else "sconna"
+        ideal = [SconnaErrorModel(adc_mape=0.0),
+                 _requests([None, "ideal"] * 16, None)]
+        _cut_at(monkeypatch, 1, 7, 13, 31)
+        for name, qm in models.items():
+            for em in ([None] if path == "int8" else ideal):
+                got = qm.forward(x, mode=mode, error_model=em)
+                assert got.tobytes() == oracle[name, path].tobytes()
+        assert submits == []
+        assert graph_plan.CORE_BUDGET.held == 0
+
+    @pytest.mark.parametrize("name", ["mnet_proxy", "snet_proxy"])
+    def test_per_request_boundaries(self, models, monkeypatch, submits, name):
+        qm = models[name]
+        x = _batch(32, seed=21)
+        oracle = qm.forward(x, mode="sconna", error_model=_requests(*MIXED),
+                            fused=False)
+        monkeypatch.setattr(graph_plan.CORE_BUDGET, "cores", 1)
+        unsplit = qm.forward(x, mode="sconna", error_model=_requests(*MIXED))
+        assert unsplit.tobytes() == oracle.tobytes()
+        for edges in ((3,), (4,), (16, 18), (3, 4, 8, 16, 18, 24)):
+            _cut_at(monkeypatch, *edges)
+            got = qm.forward(x, mode="sconna", error_model=_requests(*MIXED))
+            assert got.tobytes() == oracle.tobytes(), edges
+        # the balanced split picks request boundaries on its own
+        monkeypatch.undo()
+        monkeypatch.setattr(graph_plan.CORE_BUDGET, "cores", 3)
+        got = qm.forward(x, mode="sconna", error_model=_requests(*MIXED))
+        assert got.tobytes() == oracle.tobytes()
+        assert graph_plan.CORE_BUDGET.held == 0
+
+    def test_balanced_bounds(self):
+        assert graph_plan._chunk_bounds(32, range(1, 32), 2) == [(0, 16), (16, 32)]
+        assert graph_plan._chunk_bounds(7, range(1, 7), 3) == [(0, 2), (2, 5), (5, 7)]
+        cuts = [3, 4, 8, 16, 18, 24]
+        assert graph_plan._chunk_bounds(32, cuts, 2) == [(0, 16), (16, 32)]
+        assert graph_plan._chunk_bounds(32, cuts, 3) == [(0, 8), (8, 24), (24, 32)]
+        # too few cut points: fewer, never empty, chunks
+        assert graph_plan._chunk_bounds(32, [1, 2], 4) == [(0, 2), (2, 32)]
+        assert graph_plan._chunk_bounds(32, [], 2) == [(0, 32)]
+
+    def test_cores_no_chunk_uses_go_back(self, models, monkeypatch):
+        """Requests of 1, 1 and 30 images take three cores but cut into
+        two chunks; the third core is free again before they run."""
+        held = []
+        real = graph_plan.CORE_BUDGET.submit
+
+        def spy(fn, *args):
+            held.append(graph_plan.CORE_BUDGET.held)
+            return real(fn, *args)
+
+        monkeypatch.setattr(graph_plan.CORE_BUDGET, "submit", spy)
+        monkeypatch.setattr(graph_plan.CORE_BUDGET, "cores", 4)
+        qm = models["snet_proxy"]
+        x = _batch(32, seed=27)
+        em = _requests([1, 2, 3], [1, 1, 30])
+        got = qm.forward(x, mode="sconna", error_model=em)
+        assert held == [2]
+        assert graph_plan.CORE_BUDGET.held == 0
+        oracle = qm.forward(x, mode="sconna", fused=False,
+                            error_model=_requests([1, 2, 3], [1, 1, 30]))
+        assert got.tobytes() == oracle.tobytes()
+
+    def test_never_splits_other_batches(self, models, monkeypatch, submits):
+        qm = models["snet_proxy"]
+        x = _batch(8, seed=22)
+        monkeypatch.setattr(graph_plan.CORE_BUDGET, "cores", 1)
+        qm.forward(x, mode="sconna", error_model=_requests(range(1, 9), None))
+        assert submits == [], "a 1-core budget never splits"
+        monkeypatch.setattr(graph_plan.CORE_BUDGET, "cores", 4)
+        # one noisy model: one RNG stream spans the batch
+        qm.forward(x, mode="sconna", error_model=SconnaErrorModel(seed=1))
+        # one request of 8 images, and two requests sharing a generator
+        qm.forward(x, mode="sconna", error_model=_requests([1], [8]))
+        shared = SconnaErrorModel(seed=2)
+        qm.forward(x, mode="sconna",
+                   error_model=PerRequestErrorModels([shared, shared], [4, 4]))
+        # int8 ignores an error model, noisy or not
+        plain = qm.forward(x, mode="int8")
+        with_noise = qm.forward(x, mode="int8",
+                                error_model=_requests([1, 2, 3], [3, 1, 4]))
+        assert with_noise.tobytes() == plain.tobytes()
+        assert submits == []
+        qm.forward(x, mode="sconna", error_model=_requests(range(1, 9), None))
+        assert submits == [2, 2, 2]
+        assert graph_plan.CORE_BUDGET.held == 0
+
+    def test_mismatched_requests_raise_before_any_split(self, models,
+                                                        monkeypatch, submits):
+        monkeypatch.setattr(graph_plan.CORE_BUDGET, "cores", 4)
+        with pytest.raises(ValueError, match="does not match"):
+            models["snet_proxy"].forward(
+                _batch(8, seed=23), mode="sconna",
+                error_model=_requests(range(1, 8), None),
+            )
+        assert submits == []
+        assert graph_plan.CORE_BUDGET.held == 0
+
+    def test_helper_exception_reaches_caller(self, models, monkeypatch,
+                                             submits):
+        """The second request's skirt leakage needs slot statistics the
+        engine does not have: its chunk, on a helper thread, raises."""
+        models_ = [SconnaErrorModel(seed=1),
+                   SconnaErrorModel(seed=2, skirt_leakage=0.02)]
+        _cut_at(monkeypatch, 1)
+        with pytest.raises(ValueError, match="skirt_slots"):
+            models["snet_proxy"].forward(
+                _batch(2, seed=24), mode="sconna",
+                error_model=PerRequestErrorModels(models_),
+            )
+        assert submits == [1]
+        assert graph_plan.CORE_BUDGET.held == 0
+
+    def test_profile_spans_carry_stage_and_chunk(self, models, monkeypatch):
+        qm = models["snet_proxy"]
+        n_stages = len(qm.network_plan.stages)
+        _cut_at(monkeypatch, 3)
+        profile = []
+        qm.forward(_batch(8, seed=25), mode="sconna",
+                   error_model=_requests(range(1, 9), None), profile=profile)
+        engine = [s for s in profile if s[0].startswith("engine.")]
+        noise = [s for s in engine if s[0] == "engine.noise"]
+        matmul = [s for s in engine if s[0] == "engine.matmul"]
+        assert noise and len(noise) == len(matmul), "one draw per psum group"
+        assert all(0 <= s[3]["stage"] < n_stages for s in engine)
+        assert {s[3]["stage"] for s in noise} == set(range(n_stages))
+        chunks = {s[3].get("chunk") for s in profile}
+        assert chunks == {None, 1}, "helper spans are tagged, the caller's not"
+        assert len([s for s in noise if "chunk" in s[3]]) * 2 == len(noise)
+
+    def test_concurrent_forwards_stress(self, models, monkeypatch):
+        """Four threads share one model and a 4-core budget under a
+        tiny switch interval: every forward returns the serial bits and
+        the budget drains back to 0."""
+        qm = models["mnet_proxy"]
+        x = _batch(12, seed=26)
+        monkeypatch.setattr(graph_plan.CORE_BUDGET, "cores", 1)
+        want = [
+            qm.forward(x, mode="sconna", error_model=_requests(
+                range(100 * t, 100 * t + 12), None))
+            for t in range(4)
+        ]
+        monkeypatch.setattr(graph_plan.CORE_BUDGET, "cores", 4)
+        bad = []
+
+        def worker(t):
+            for _ in range(6):
+                got = qm.forward(x, mode="sconna", error_model=_requests(
+                    range(100 * t, 100 * t + 12), None))
+                if got.tobytes() != want[t].tobytes():
+                    bad.append(t)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,))
+                       for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(th.is_alive() for th in threads)
+        assert bad == []
+        assert graph_plan.CORE_BUDGET.held == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.stochastic.error_models import (
+    PerRequestErrorModels,
     SconnaErrorModel,
     measure_vdp_error,
 )
@@ -45,6 +46,38 @@ class TestSconnaErrorModel:
         a = SconnaErrorModel(seed=5).apply_to_counts(np.arange(100.0, 200.0))
         b = SconnaErrorModel(seed=5).apply_to_counts(np.arange(100.0, 200.0))
         assert np.array_equal(a, b)
+
+
+class TestInPlaceForm:
+    """``apply_to_counts(counts, out=...)`` draws into ``out`` in place:
+    the same generator calls and the same bits as the allocating int64
+    form, which the oracle keeps."""
+
+    def test_single_model(self):
+        counts = np.random.default_rng(1).integers(0, 5000, (3, 4, 5)) * 1.0
+        for kwargs in ({"seed": 3}, {"adc_mape": 0.0}, {"adc_mape": 0.2, "seed": 4}):
+            want = SconnaErrorModel(**kwargs).apply_to_counts(counts)
+            out = np.empty_like(counts)
+            got = SconnaErrorModel(**kwargs).apply_to_counts(counts, out=out)
+            assert got is out and want.dtype == np.int64
+            assert got.tobytes() == want.astype(np.float64).tobytes()
+
+    def test_per_request_models(self):
+        counts = np.random.default_rng(2).integers(0, 5000, (6, 4, 5)) * 1.0
+
+        def composite():
+            return PerRequestErrorModels(
+                [SconnaErrorModel(seed=5), None, SconnaErrorModel(seed=6),
+                 SconnaErrorModel(adc_mape=0.0)],
+                sizes=[2, 1, 2, 1],
+            )
+
+        want = composite().apply_to_counts(counts)
+        before = counts.copy()
+        out = np.empty_like(counts)
+        got = composite().apply_to_counts(counts, out=out)
+        assert got is out and got.tobytes() == want.tobytes()
+        assert np.array_equal(counts, before), "counts are an input only"
 
 
 class TestMeasuredVdpError:

@@ -29,6 +29,7 @@ from repro.serve import (
     make_backend,
     serve_http,
 )
+from repro.utils.cores import usable_cores
 from repro.utils.rng import make_rng
 
 POLICY = BatchingPolicy(max_batch_size=8, max_wait_ms=2.0)
@@ -228,6 +229,9 @@ class TestProcessBackend:
         assert snap["backend"]["kind"] == "process"
         assert snap["backend"]["shards"] == 2
         assert len(snap["backend"]["per_shard"]) == 2
+        # each shard's core budget is its share of the host
+        budget = max(1, len(usable_cores()) // 2)
+        assert [s["cores"] for s in snap["backend"]["per_shard"]] == [budget] * 2
         assert snap["models"] == ["tiny"]
 
     def test_cost_annotation_computed_in_parent(self, setup, process_service):
@@ -338,6 +342,8 @@ class TestProcessBackend:
                 cores = sorted(os.sched_getaffinity(0))
                 expected = [[cores[slot % len(cores)]] for slot in range(2)]
                 assert cpus == expected
+                # a pinned shard's budget is its one core
+                assert [s["cores"] for s in info["per_shard"]] == [1, 1]
             else:  # knob accepted and ignored off-Linux
                 assert cpus == [None, None]
         finally:

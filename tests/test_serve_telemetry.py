@@ -33,6 +33,8 @@ from repro.serve import (
 )
 from repro.serve.shm import DEFAULT_RING_BYTES
 from repro.serve.telemetry import POLICY_ALWAYS, POLICY_OFF
+from repro.stochastic.error_models import SconnaErrorModel
+from repro.utils.cores import usable_cores
 from repro.utils.rng import make_rng
 
 POLICY = BatchingPolicy(max_batch_size=8, max_wait_ms=2.0)
@@ -173,6 +175,39 @@ class TestProcessBackendTraces:
                 if s.name in ("quantize", "layer")]
         assert prof and all(p.tags.get("shard") == shard.tags["shard"]
                             for p in prof)
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_shards_split_within_their_core_budget(self, setup, n_shards):
+        """A shard splits a batch of seeded requests over its share of
+        the host's cores, ``max(1, cores // n_shards)``, and no further:
+        shards that already fill the host never split."""
+        qm, ds = setup
+        # min_fill holds the batch open until all four requests ride it
+        svc = SconnaService(
+            policy=BatchingPolicy(max_batch_size=4, max_wait_ms=10_000.0,
+                                  min_fill=4),
+            trace_policy=POLICY_ALWAYS,
+            backend=ProcessBackend(n_shards=n_shards),
+        )
+        svc.add_model("tiny", qm)
+        try:
+            pending = [svc.predict_async("tiny", ds.images[i], seed=10 + i)
+                       for i in range(4)]
+            preds = [f.result(timeout=120.0) for f in pending]
+            per_shard = svc.backend.info()["per_shard"]
+        finally:
+            svc.close()
+        budget = max(1, len(usable_cores()) // n_shards)
+        assert [s["cores"] for s in per_shard] == [budget] * n_shards
+        engine = [s for s in svc.tracer.store.latest().spans()
+                  if s.name.startswith("engine.")]
+        assert {s.tags.get("chunk") for s in engine} == {
+            None, *range(1, min(budget, 4))
+        }
+        for i, pred in enumerate(preds):
+            direct = qm.forward(ds.images[i:i + 1], mode="sconna",
+                                error_model=SconnaErrorModel(seed=10 + i))
+            assert np.array_equal(pred.logits, direct)
 
     def test_trace_and_exposition_over_http(self, setup):
         """Behind HTTP, a process-backend response's trace id resolves
