@@ -61,7 +61,7 @@ def build_service(admission_policy=None, trace_policy=None):
     from repro.cnn.micro import (
         Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential,
     )
-    from repro.serve import BatchingPolicy, SconnaService, serve_http
+    from repro.serve import BatchingPolicy, SconnaService, Tracer, serve_http
     from repro.utils.rng import make_rng
 
     rng = make_rng(0)
@@ -75,7 +75,7 @@ def build_service(admission_policy=None, trace_policy=None):
         policy=BatchingPolicy(max_batch_size=32, max_wait_ms=1.0),
         n_workers=1,
         admission=admission_policy,
-        trace_policy=trace_policy,
+        tracer=Tracer(trace_policy),
     )
     service.add_model("wirebench", qmodel, mode="int8",
                       warm_shape=BATCH_SHAPE[1:])

@@ -69,11 +69,11 @@ def build_registry(root: Path, model_name: str, seed: int = 0):
 
 def make_service(registry, ds, model_name, *, mode, policy, n_workers,
                  backend="thread", n_shards=2, trace_policy=None):
-    from repro.serve import SconnaService
+    from repro.serve import SconnaService, Tracer
 
     service = SconnaService(
         policy=policy, n_workers=n_workers, mode=mode,
-        backend=backend, n_shards=n_shards, trace_policy=trace_policy,
+        backend=backend, n_shards=n_shards, tracer=Tracer(trace_policy),
     )
     service.add_from_registry(registry, model_name, warm_shape=ds.images[0].shape)
     return service

@@ -8,8 +8,8 @@ the HTTP endpoint the way an external client would - through
 keep-alive connection; `--wire json` falls back to the classic JSON
 body), including a per-request accelerator cost annotation and a
 streamed multi-image request.  SIGINT/SIGTERM handlers drain in-flight
-requests and reap shard processes, and the aggregated metrics snapshot
-(request-side + every backend worker) is printed at exit.
+requests and reap shard processes, and the service's metrics snapshot
+(every batch, counted once in the parent process) is printed at exit.
 
 Run:  PYTHONPATH=src python examples/serve_http_demo.py
       PYTHONPATH=src python examples/serve_http_demo.py --backend process --shards 2
@@ -36,7 +36,7 @@ from repro.serve import (
     install_shutdown_handlers,
     serve_http,
 )
-from repro.serve.telemetry import POLICY_ALWAYS
+from repro.serve.telemetry import POLICY_ALWAYS, Tracer
 
 
 def main() -> None:
@@ -95,7 +95,7 @@ def main() -> None:
             n_shards=args.shards,
             placement=placement,
             affinity=None if args.affinity == "none" else args.affinity,
-            trace_policy=POLICY_ALWAYS if args.trace else None,
+            tracer=Tracer(POLICY_ALWAYS if args.trace else None),
             request_log=StructuredLogger() if args.log_requests else None,
         )
         service.add_from_registry(registry, "snet", warm_shape=(3, 24, 24))
@@ -179,10 +179,10 @@ def main() -> None:
         finally:
             server.shutdown()
             service.close()
-            # snapshot after close: every batch is accounted for, and the
-            # shard-side counters were merged in while shards were alive
+            # snapshot after close: every batch is accounted for - the
+            # service counted each one in this process as it completed
             snap = service.metrics_snapshot()
-            print("aggregated metrics at exit:")
+            print("metrics at exit:")
             print(f"  {snap['requests']} requests in "
                   f"{snap['batches']} batches, "
                   f"p50 {snap['latency']['p50_ms']:.1f} ms, "

@@ -431,7 +431,6 @@ class _ShapeProgram:
         self,
         x: np.ndarray,
         error_model: "object | None",
-        trace: "list | None" = None,
         profile: "list | None" = None,
     ) -> np.ndarray:
         # ``profile`` (optional) collects ``(name, start_s, end_s, tags)``
@@ -460,8 +459,6 @@ class _ShapeProgram:
         if lut is not None:
             idx_dtype = np.uint8 if x.dtype.itemsize == 1 else np.uint16
             np.take(lut, x.view(idx_dtype), out=grid)
-            if trace is not None:
-                trace.append(("entry", f"lut:{x.dtype.name}"))
         else:
             ws = pool.get("gp_entry_f", grid.shape, np.float64)
             params = self.entry_params
@@ -470,8 +467,6 @@ class _ShapeProgram:
             np.rint(ws, out=ws)
             np.clip(ws, 0.0, float(params.levels), out=ws)
             np.copyto(grid, ws, casting="unsafe")
-            if trace is not None:
-                trace.append(("entry", "float64-ws"))
         if profile is not None:
             profile.append(("quantize", t0, clock(),
                             {"entry": "lut" if lut is not None else "float"}))
@@ -537,8 +532,6 @@ class _ShapeProgram:
                 np.clip(t, 0.0, levels, out=t)
                 nxt = wgrid(grid_ref)
                 np.copyto(nxt, t.reshape(spatial), casting="unsafe")
-                if trace is not None:
-                    trace.append(("grid", nxt.dtype.name))
             else:
                 final = t.reshape(self.final_shape).copy()
             if profile is not None:
@@ -554,8 +547,6 @@ class _ShapeProgram:
                     final = final.reshape(final.shape[0], -1)
             if profile is not None:
                 profile.append(("tail", t0, clock(), {}))
-        if trace is not None:
-            trace.append(("logits", final.dtype.name))
         return final
 
     # -- introspection ---------------------------------------------------
@@ -672,7 +663,6 @@ class NetworkPlan:
         images: np.ndarray,
         mode: str,
         error_model: "object | None" = None,
-        trace: "list | None" = None,
         profile: "list | None" = None,
     ) -> "np.ndarray | None":
         """Run fused, or return None so the caller takes the reference
@@ -687,8 +677,7 @@ class NetworkPlan:
         Every other batch runs whole: one noisy model's single RNG
         stream spans the batch, and int8 or ideal-ADC batches are not
         split until a benchmark measures that path on more than one
-        core.  ``trace`` follows the first chunk; helper chunks'
-        ``profile`` spans carry a ``chunk`` tag.
+        core.  Helper chunks' ``profile`` spans carry a ``chunk`` tag.
         """
         x = np.asarray(images)
         if x.ndim < 2 or not self.supports(mode):
@@ -710,13 +699,12 @@ class NetworkPlan:
                 prog = self.program_for(mode, x.shape)
                 if prog is None:
                     return None
-                return prog.run(x, error_model, trace, profile)
-            return self._run_chunks(x, mode, error_model, bounds, trace,
-                                    profile)
+                return prog.run(x, error_model, profile)
+            return self._run_chunks(x, mode, error_model, bounds, profile)
         finally:
             CORE_BUDGET.give(held)
 
-    def _run_chunks(self, x, mode, error_model, bounds, trace, profile):
+    def _run_chunks(self, x, mode, error_model, bounds, profile):
         """Run ``x[start:stop]`` for each of ``bounds`` at once, each
         with its own requests' slice of ``error_model``, and concatenate
         the logits."""
@@ -729,14 +717,13 @@ class NetworkPlan:
         models = error_model.split(bounds)
         spans = [None if profile is None else [] for _ in bounds]
         helpers = [
-            CORE_BUDGET.submit(prog.run, x[start:stop], em, None, sub)
+            CORE_BUDGET.submit(prog.run, x[start:stop], em, sub)
             for prog, (start, stop), em, sub in zip(
                 progs[1:], bounds[1:], models[1:], spans[1:]
             )
         ]
         try:
-            parts = [progs[0].run(x[: bounds[0][1]], models[0], trace,
-                                  profile)]
+            parts = [progs[0].run(x[: bounds[0][1]], models[0], profile)]
         finally:
             futures.wait(helpers)
         parts.extend(f.result() for f in helpers)

@@ -197,7 +197,6 @@ class QuantizedModel:
         error_model: SconnaErrorModel | None = None,
         *,
         fused: "bool | None" = None,
-        trace: "list | None" = None,
         profile: "list | None" = None,
     ) -> np.ndarray:
         """Run a batch through the selected datapath; returns logits.
@@ -207,9 +206,7 @@ class QuantizedModel:
         supports it and falls back to the per-layer oracle otherwise;
         ``False`` forces the oracle; ``True`` demands the fused path and
         raises if it cannot run.  Both paths return bit-identical
-        logits.  ``trace``, when a list, collects the
-        fused path's dtype checkpoints at the inter-layer seams.
-        ``profile``, when a list, collects ``(name, start_s, end_s,
+        logits.  ``profile``, when a list, collects ``(name, start_s, end_s,
         tags)`` per-stage timing tuples (quantize / im2col / matmul /
         requantize on the fused path, coarse per-layer timings on the
         reference path) without perturbing the arithmetic.
@@ -220,7 +217,7 @@ class QuantizedModel:
             error_model = SconnaErrorModel(seed=0)
         if fused is not False and mode in ("int8", "sconna"):
             out = self.network_plan.try_execute(
-                images, mode, error_model, trace=trace, profile=profile
+                images, mode, error_model, profile=profile
             )
             if out is not None:
                 return out

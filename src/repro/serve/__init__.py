@@ -34,7 +34,8 @@ cost):
   and the binary wire, with chunked per-image streaming (also a CLI:
   ``python -m repro.serve``),
 * :mod:`repro.serve.metrics`   - throughput / latency-percentile /
-  batch-shape accounting, mergeable across shard processes,
+  batch-shape accounting, recorded once per batch in the serving
+  parent and mergeable across replicas,
 * :mod:`repro.serve.costs`     - per-request simulated accelerator cost
   annotations backed by :class:`repro.arch.simulator.SimulationCache`
   (always computed in the serving parent, never in shards),

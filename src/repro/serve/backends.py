@@ -41,11 +41,10 @@ request's logits are bit-identical through either backend - and even a
 ``seed=None`` request is reproducible across a crash-redispatch,
 because the parent re-sends the same pickled generator state.
 
-**Metrics.**  Each backend worker records execution-side metrics
-(batches, batch-size histogram, execution errors) into its own
-:class:`~repro.serve.metrics.ServeMetrics`; :meth:`ExecutionBackend.metrics_states`
-exports them for the service to merge with its request-side metrics
-into one aggregated snapshot.
+**Metrics.**  Backends record none: every batch ends in exactly one
+``on_done`` call in the parent, where the service counts it - once,
+whichever worker or shard ran it, however often a crash redispatched
+it.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.serve.batching import InferenceRequest
-from repro.serve.metrics import ServeMetrics
 from repro.serve.shm import (
     DEFAULT_RING_BYTES,
     RingAllocator,
@@ -90,7 +88,6 @@ class BatchResult:
     logits: np.ndarray        #: (n_images, classes) float64 for the whole batch
     n_images: int             #: batch-axis length (== logits.shape[0])
     exec_start: float         #: monotonic instant execution (or shard dispatch) began
-    shard: int = 0            #: which worker/shard ran it
 
 
 def stack_batch(batch: "list[InferenceRequest]") -> np.ndarray:
@@ -107,8 +104,7 @@ def stack_batch(batch: "list[InferenceRequest]") -> np.ndarray:
 
 def execute_batch(
     qmodel, mode: str, images: np.ndarray, error_models: list,
-    sizes: "list[int]", metrics: ServeMetrics,
-    profile: "list | None" = None,
+    sizes: "list[int]", profile: "list | None" = None,
 ) -> np.ndarray:
     """Run one coalesced batch: the execution path both backends share.
 
@@ -116,17 +112,14 @@ def execute_batch(
     models and image counts; on the sconna datapath each request's model
     is applied to its own contiguous slice, so a seeded request's logits
     do not depend on which batch or backend carried it.  ``profile``
-    collects per-stage engine timings when it is a list.  Counts the
-    batch in ``metrics``; the caller counts failures.
+    collects per-stage engine timings when it is a list.
     """
     error_model = (
         PerRequestErrorModels(error_models, sizes) if mode == "sconna" else None
     )
-    logits = qmodel.forward(
+    return qmodel.forward(
         images, mode=mode, error_model=error_model, profile=profile
     )
-    metrics.record_batch(len(sizes), int(images.shape[0]))
-    return logits
 
 
 def warm_up(qmodel, mode: str, shape: "tuple[int, int, int, int]") -> None:
@@ -239,14 +232,6 @@ class ExecutionBackend(abc.ABC):
     def close(self, timeout: float | None = 10.0) -> None:
         """Drain in-flight work, then release every worker."""
 
-    def metrics_states(self) -> "list[dict]":
-        """Exported :class:`ServeMetrics` state of every worker/shard."""
-        return []
-
-    def reset_metrics(self) -> None:
-        """Discard every worker's execution-side metrics (e.g. to keep
-        warm-up traffic out of a benchmark's histograms)."""
-
     def info(self) -> dict:
         """JSON-ready description for the metrics endpoint."""
         return {"kind": self.kind}
@@ -280,7 +265,6 @@ class ThreadBackend(ExecutionBackend):
         self._error_lock = threading.Lock()
         self._models: "dict[str, tuple[object, str]]" = {}
         self._closed = False
-        self.metrics = ServeMetrics()
         self._threads = [
             threading.Thread(
                 target=self._work, name=f"sconna-worker-{i}", daemon=True
@@ -341,10 +325,9 @@ class ThreadBackend(ExecutionBackend):
                 stacked = stack_batch(batch)
                 logits = execute_batch(
                     qmodel, mode, stacked, [r.error_model for r in batch],
-                    [r.n_images for r in batch], self.metrics, profile,
+                    [r.n_images for r in batch], profile,
                 )
             except BaseException as exc:
-                self.metrics.record_error(len(batch))
                 if traces:
                     end = time.monotonic()
                     for tr in traces:
@@ -374,12 +357,6 @@ class ThreadBackend(ExecutionBackend):
             )
 
         self._tasks.put(task)
-
-    def metrics_states(self) -> "list[dict]":
-        return [self.metrics.state()]
-
-    def reset_metrics(self) -> None:
-        self.metrics.reset()
 
     def info(self) -> dict:
         return {
@@ -437,7 +414,6 @@ class _Shard:
     send_lock: threading.Lock = field(default_factory=threading.Lock)
     inflight: "dict[int, _Inflight]" = field(default_factory=dict)
     acks: "queue.Queue" = field(default_factory=queue.Queue)
-    metrics_replies: "queue.Queue" = field(default_factory=queue.Queue)
     reader: "threading.Thread | None" = None
     alive: bool = True
     expected_exit: bool = False
@@ -544,11 +520,8 @@ def _shard_main(
                 # until our reply arrives, and the reply is only sent
                 # after forward() is done with the view
                 images = tx.read_array(images, copy=False)
-            logits = execute_batch(
-                *entry, images, emodels, sizes, metrics, profile
-            )
+            logits = execute_batch(*entry, images, emodels, sizes, profile)
         except BaseException as exc:
-            metrics.record_error(len(sizes))
             return ("err", bid, exc)
         spans = None
         if tctx is not None:
@@ -565,7 +538,6 @@ def _shard_main(
                 logits = rx.write_array(offset, logits)
         return ("ok", bid, logits, spans)
 
-    metrics = ServeMetrics()
     models: "dict[str, tuple[object, str]]" = {}
     while True:
         try:
@@ -599,10 +571,6 @@ def _shard_main(
                 # a duplicate free: losing one is recoverable, dying
                 # mid-serve is not
                 pass
-        elif op == "metrics":
-            _shard_reply(conn, ("metrics", msg[1], metrics.state()))
-        elif op == "reset_metrics":
-            metrics.reset()
     for arena in (tx, rx):
         if arena is not None:
             arena.close()  # attachment only - the parent owns the unlink
@@ -693,7 +661,6 @@ class ProcessBackend(ExecutionBackend):
         self._lock = threading.RLock()
         self._drained = threading.Condition(self._lock)
         self._admin_lock = threading.Lock()  # serializes add_model acks
-        self._metrics_lock = threading.Lock()  # serializes metrics rounds
         self._models: "dict[str, tuple[str, _ModelSrc, object, tuple[int, ...]]]" = {}
         self._bids = itertools.count(1)
         self._tokens = itertools.count(1)
@@ -710,8 +677,6 @@ class ProcessBackend(ExecutionBackend):
         #: crashed-shard orphans currently between inflight tables (a
         #: drain must wait for them to land on a live shard or fail)
         self._rescuing = 0
-        #: final metrics states captured from shards stopped by close()
-        self._retired_states: "list[dict]" = []
         self._shards: "list[_Shard]" = []
         try:
             for slot in range(n_shards):
@@ -793,8 +758,6 @@ class ProcessBackend(ExecutionBackend):
             if op == "loaded":
                 if msg[1] is not None:  # respawn replays carry token None
                     shard.acks.put(msg)
-            elif op == "metrics":
-                shard.metrics_replies.put(msg)
             elif op in ("ok", "err"):
                 # ("ok", bid, logits | ShmDescriptor, spans) or
                 # ("err", bid, exception)
@@ -829,8 +792,7 @@ class ProcessBackend(ExecutionBackend):
                     # rejoin the shard-side spans: one backend.dispatch
                     # span per traced request (dispatch -> reply on the
                     # parent clock) with the shard's own spans grafted
-                    # under it - the ServeMetrics.merge parent/worker
-                    # aggregation idiom applied to spans
+                    # under it
                     returned_at = time.monotonic()
                     transport = "shm" if tx_offset is not None else "pipe"
                     for tr in item.traces:
@@ -853,7 +815,6 @@ class ProcessBackend(ExecutionBackend):
                             logits=result,
                             n_images=int(result.shape[0]),
                             exec_start=item.dispatched_at,
-                            shard=shard.slot,
                         )
                     )
         self._on_shard_exit(shard)
@@ -980,7 +941,7 @@ class ProcessBackend(ExecutionBackend):
         traces = [r.trace for r in batch if r.trace is not None]
         tctx = None
         if traces:
-            # union of the requests' remote span contexts: the shard
+            # the picklable span context the shard receives: it
             # profiles once per batch if any rider asked for it
             tctx = {"profile": any(t.wants_profile for t in traces)}
         self._dispatch(
@@ -1044,60 +1005,7 @@ class ProcessBackend(ExecutionBackend):
         except (OSError, ValueError):
             pass  # pipe broke: the collector's EOF path rescues the entry
 
-    # -- metrics / lifecycle ---------------------------------------------
-    def metrics_states(self, timeout: float = 2.0) -> "list[dict]":
-        """Fetch each live shard's metrics state over its pipe.
-
-        The request queues behind in-flight batches (shards are
-        single-threaded), so a busy shard may miss the ``timeout`` and
-        simply drop out of this aggregation round; a *crashed* shard's
-        history is lost with it, while shards stopped by :meth:`close`
-        have their final state captured first.  Rounds are serialized
-        (one at a time) so concurrent pollers - an HTTP /v1/metrics
-        client racing close()'s final capture, say - cannot consume
-        each other's replies.
-        """
-        with self._metrics_lock:
-            with self._lock:
-                shards = [s for s in self._shards if s.alive]
-                states: "list[dict]" = list(self._retired_states)
-            pending: "list[tuple[_Shard, int]]" = []
-            for shard in shards:
-                token = next(self._tokens)
-                try:
-                    shard.send(("metrics", token))
-                    pending.append((shard, token))
-                except OSError:
-                    continue
-            deadline = time.monotonic() + timeout
-            for shard, token in pending:
-                while True:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not shard.alive:
-                        break
-                    try:
-                        _, reply_token, state = shard.metrics_replies.get(
-                            timeout=min(remaining, 0.1)
-                        )
-                    except queue.Empty:
-                        continue
-                    if reply_token == token:
-                        states.append(state)
-                        break
-            return states
-
-    def reset_metrics(self) -> None:
-        """Fire-and-forget reset of every live shard's counters (call
-        while idle: pipelined batches sent before the reset still count)."""
-        with self._lock:
-            self._retired_states.clear()
-            shards = [s for s in self._shards if s.alive]
-        for shard in shards:
-            try:
-                shard.send(("reset_metrics",))
-            except OSError:
-                pass
-
+    # -- introspection / lifecycle ---------------------------------------
     def info(self) -> dict:
         with self._lock:
             placement = {
@@ -1161,11 +1069,6 @@ class ProcessBackend(ExecutionBackend):
             shards = list(self._shards)
             for shard in shards:
                 shard.expected_exit = True
-        # keep each shard's execution history past its death: fetch the
-        # final metrics states before stopping anything
-        final = self.metrics_states(timeout=2.0)
-        with self._lock:
-            self._retired_states.extend(final)
         for shard in shards:
             try:
                 shard.send(("stop",))

@@ -75,11 +75,10 @@ Routes::
 
     GET  /healthz        -> {"status": "ok"}
     GET  /v1/models      -> {"models": [...]}
-    GET  /v1/metrics     -> aggregated ServeMetrics snapshot (request-side
-                            + every backend worker / shard, plus backend
-                            topology, admission stats and simulation-cache
-                            stats); ?format=prometheus for the text
-                            exposition
+    GET  /v1/metrics     -> the service's ServeMetrics snapshot (plus
+                            backend topology, admission stats and
+                            simulation-cache stats); ?format=prometheus
+                            for the text exposition
     GET  /v1/trace       -> newest-first stored trace summaries (?limit=N)
     GET  /v1/trace/<id>  -> one span tree as JSON ('latest' resolves the
                             most recent; ?format=chrome exports Chrome
@@ -832,12 +831,15 @@ def main(argv: "list[str] | None" = None) -> None:
                 else int(args.max_queued_mb * (1 << 20))
             ),
         )
-    from repro.serve.telemetry import StructuredLogger, TracePolicy
+    from repro.serve.telemetry import StructuredLogger, TracePolicy, Tracer
 
-    trace_policy = TracePolicy(
-        sample_rate=args.trace_sample_rate,
-        always_sample_slow_ms=args.trace_slow_ms,
-        profile_engine=args.trace_profile,
+    tracer = Tracer(
+        TracePolicy(
+            sample_rate=args.trace_sample_rate,
+            always_sample_slow_ms=args.trace_slow_ms,
+            profile_engine=args.trace_profile,
+        ),
+        capacity=args.trace_capacity,
     )
     request_log = StructuredLogger() if args.log_requests else None
     service = SconnaService(
@@ -851,7 +853,7 @@ def main(argv: "list[str] | None" = None) -> None:
         placement=placement,
         admission=admission,
         affinity=None if args.affinity == "none" else args.affinity,
-        trace_policy=trace_policy,
+        tracer=tracer,
         request_log=request_log,
     )
     for name in names:

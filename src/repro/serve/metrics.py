@@ -1,22 +1,22 @@
 """Serving metrics: throughput, latency percentiles, batch shapes.
 
-One :class:`ServeMetrics` instance per recording site aggregates
-everything the benchmark and the HTTP ``/v1/metrics`` endpoint report.
-All recording methods are thread-safe (the scheduler, the workers, and
-every client thread write concurrently); reading is a consistent
-:meth:`snapshot`.
+One :class:`ServeMetrics` instance per service aggregates everything
+the benchmark and the HTTP ``/v1/metrics`` endpoint report.  The service
+records every batch exactly once, in the parent process, when the
+backend hands the batch back (shards record nothing), so a snapshot is
+an in-memory read that no busy or crashed shard can stall or shrink.
+All recording methods are thread-safe (the scheduler, the backend's
+completion threads, and every client thread write concurrently);
+reading is a consistent :meth:`snapshot`.
 
-Under multi-process sharding the recording sites live in different
-processes: the parent service records request-side samples (latency,
-queue wait, queue depth) while each shard worker records execution-side
-counters (batches, batch histogram, execution errors) into its own
-instance.  :meth:`state` exports an instance's raw counters and samples
-as a picklable dict that crosses the shard pipe, and :meth:`merge`
-folds any number of such states (or live instances) into one aggregate
-whose :meth:`snapshot` reads exactly like a single-process service's.
+Across replicas, :meth:`state` exports an instance's raw counters and
+samples as a JSON-able dict (``/v1/metrics?format=state``), and
+:meth:`merge` folds such states into one aggregate whose
+:meth:`snapshot` reads exactly like a single service's - this is how a
+fleet router merges its replicas.
 
 Latency and wait samples are kept in bounded deques - a long-lived
-service keeps the most recent ``max_samples`` observations, so the
+service keeps the most recent :data:`MAX_SAMPLES` observations, so the
 percentiles track current behaviour rather than boot-time history.
 """
 
@@ -25,6 +25,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+
+#: latency, wait and queue-depth samples each instance keeps (newest win)
+MAX_SAMPLES = 100_000
 
 
 def percentile(values: "list[float]", q: float) -> float:
@@ -46,14 +49,11 @@ def percentile(values: "list[float]", q: float) -> float:
 class ServeMetrics:
     """Thread-safe serving counters and samples."""
 
-    def __init__(self, max_samples: int = 100_000) -> None:
-        if max_samples < 1:
-            raise ValueError("max_samples must be >= 1")
-        self.max_samples = max_samples
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._latencies_s: "deque[float]" = deque(maxlen=max_samples)
-        self._waits_s: "deque[float]" = deque(maxlen=max_samples)
-        self._queue_depths: "deque[int]" = deque(maxlen=max_samples)
+        self._latencies_s: "deque[float]" = deque(maxlen=MAX_SAMPLES)
+        self._waits_s: "deque[float]" = deque(maxlen=MAX_SAMPLES)
+        self._queue_depths: "deque[int]" = deque(maxlen=MAX_SAMPLES)
         self._batch_hist: "dict[int, int]" = {}
         self._n_requests = 0
         self._n_images = 0
@@ -143,16 +143,15 @@ class ServeMetrics:
             self._first_done = self._last_done = None
             self._accel_costs.clear()
 
-    # -- aggregation across shards ---------------------------------------
+    # -- aggregation across replicas -------------------------------------
     def state(self) -> dict:
-        """Raw counters and samples as a picklable/JSON-able dict.
+        """Raw counters and samples as a JSON-able dict.
 
-        This is the wire format shard workers ship to the parent; feed
-        it back through :meth:`merge` to aggregate.
+        This is the wire format ``/v1/metrics?format=state`` serves;
+        feed it back through :meth:`merge` to aggregate.
         """
         with self._lock:
             return {
-                "max_samples": self.max_samples,
                 "latencies_s": list(self._latencies_s),
                 "waits_s": list(self._waits_s),
                 "queue_depths": list(self._queue_depths),
@@ -171,12 +170,13 @@ class ServeMetrics:
     def merge(self, other: "ServeMetrics | dict") -> "ServeMetrics":
         """Fold another instance's (or exported state's) data into this one.
 
-        Counters add, histograms add per bucket, bounded sample deques
-        extend (keeping the most recent ``max_samples``), and the
+        Counters add, histograms add per bucket (string keys from a
+        JSON round trip are restored to ints), bounded sample deques
+        extend (keeping the most recent :data:`MAX_SAMPLES`), and the
         completion span widens to cover both sources.  Completion
         timestamps are ``time.monotonic`` values; on Linux that clock is
-        system-wide, so spans merged across shard processes on one
-        machine stay coherent.  Returns ``self`` for chaining.
+        system-wide, so spans merged across processes on one machine
+        stay coherent.  Returns ``self`` for chaining.
         """
         state = other.state() if isinstance(other, ServeMetrics) else other
         with self._lock:
@@ -191,7 +191,7 @@ class ServeMetrics:
             self._n_batches += state["n_batches"]
             self._n_batched_requests += state["n_batched_requests"]
             self._n_errors += state["n_errors"]
-            # .get: shard states predating admission control lack the key
+            # .get: states predating admission control lack the key
             self._n_shed += state.get("n_shed", 0)
             # .get: states predating cost accounting lack the key
             for model, theirs in state.get("accel_costs", {}).items():
@@ -209,28 +209,6 @@ class ServeMetrics:
                     ours = getattr(self, attr)
                     setattr(self, attr, theirs if ours is None else pick(ours, theirs))
         return self
-
-    @classmethod
-    def merged(cls, parts: "list[ServeMetrics | dict]") -> "ServeMetrics":
-        """A fresh instance holding the union of every part's data."""
-        agg = cls()
-        for part in parts:
-            agg.merge(part)
-        return agg
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ServeMetrics":
-        """Rebuild a live instance from one exported :meth:`state` dict.
-
-        The export is JSON-safe, so this also accepts a state that
-        round-tripped through ``/v1/metrics?format=state`` (where JSON
-        stringifies the batch-histogram keys - :meth:`merge` restores
-        them).  This is how a fleet router re-hydrates each replica's
-        counters before folding them together.
-        """
-        instance = cls(max_samples=int(state.get("max_samples", 100_000)))
-        instance.merge(state)
-        return instance
 
     # -- reading ---------------------------------------------------------
     def snapshot(self) -> dict:

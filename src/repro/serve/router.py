@@ -332,7 +332,6 @@ class Router:
         replica_urls: "list[str]",
         policy: "RouterPolicy | None" = None,
         tracer: "Tracer | None" = None,
-        trace_policy: "TracePolicy | None" = None,
         request_log: "object | None" = None,
         probe_in_background: bool = True,
     ) -> None:
@@ -342,7 +341,7 @@ class Router:
         self.replicas = [Replica(url, self.policy) for url in replica_urls]
         if len({r.url for r in self.replicas}) != len(self.replicas):
             raise ValueError(f"duplicate replica URLs in {replica_urls!r}")
-        self.tracer = tracer if tracer is not None else Tracer(trace_policy)
+        self.tracer = tracer if tracer is not None else Tracer()
         self.request_log = request_log
         self._rr = itertools.count()
         self._lock = threading.Lock()
@@ -1050,7 +1049,7 @@ def main(argv: "list[str] | None" = None) -> None:
     request_log = StructuredLogger() if args.log_requests else None
     router = Router(
         urls, policy=policy,
-        trace_policy=TracePolicy(sample_rate=args.trace_sample_rate),
+        tracer=Tracer(TracePolicy(sample_rate=args.trace_sample_rate)),
         request_log=request_log,
     )
     server, _ = serve_router(

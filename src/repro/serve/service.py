@@ -13,10 +13,12 @@ process (``backend="thread"``) or a set of shard worker processes
 
 The service owns everything request-shaped - futures, top-k, cost
 annotations (computed once in this parent process via the shared
-:class:`~repro.arch.simulator.SimulationCache`), request-level metrics -
-while the backend owns execution: model hosting, warm buffers, and
-execution-side metrics.  :meth:`metrics_snapshot` merges both sides
-(plus every shard's counters under the process backend) into one view.
+:class:`~repro.arch.simulator.SimulationCache`), and every metric -
+while the backend owns execution: model hosting and warm buffers.  Each
+batch ends in exactly one backend ``on_done`` call, where the service
+counts it (a batch on success, its requests as errors on failure), so
+:meth:`metrics_snapshot` reads one in-memory
+:class:`~repro.serve.metrics.ServeMetrics` and never waits on a shard.
 
 Reproducibility: a ``seed``-carrying request in the ``sconna`` datapath
 gets its own :class:`~repro.stochastic.error_models.SconnaErrorModel`,
@@ -52,7 +54,7 @@ from repro.serve.backends import (
 from repro.serve.batching import BatchingPolicy, InferenceRequest, MicroBatcher
 from repro.serve.costs import CostAccountant, RequestCost, descriptor_from_quantized
 from repro.serve.metrics import ServeMetrics
-from repro.serve.telemetry import TracePolicy, Tracer
+from repro.serve.telemetry import Tracer
 from repro.stochastic.error_models import SconnaErrorModel
 
 
@@ -95,29 +97,26 @@ class SconnaService:
         policy: BatchingPolicy | None = None,
         n_workers: int = 2,
         mode: str = "sconna",
-        cost_accountant: CostAccountant | None = None,
-        metrics: ServeMetrics | None = None,
         backend: "ExecutionBackend | str" = "thread",
         n_shards: int = 2,
         placement: "object | None" = None,
         admission: "AdmissionPolicy | None" = None,
         affinity: "str | None" = None,
         tracer: "Tracer | None" = None,
-        trace_policy: "TracePolicy | None" = None,
         request_log: "object | None" = None,
     ) -> None:
         if mode not in ("float", "int8", "sconna"):
             raise ValueError(f"unknown default mode {mode!r}")
         self.default_policy = policy or BatchingPolicy()
         self.default_mode = mode
-        self.metrics = metrics or ServeMetrics()
-        self.costs = cost_accountant or CostAccountant()
+        self.metrics = ServeMetrics()
+        self.costs = CostAccountant()
         self.admission = AdmissionController(admission, metrics=self.metrics)
-        #: the telemetry front door: ``tracer`` wins when given, else a
-        #: fresh one from ``trace_policy`` (default policy: sampled).
-        #: ``request_log`` is an optional StructuredLogger the HTTP
-        #: layer (and in-process callers) emit per-request lines through.
-        self.tracer = tracer if tracer is not None else Tracer(trace_policy)
+        #: the telemetry front door (default: a sampling Tracer with the
+        #: default policy).  ``request_log`` is an optional
+        #: StructuredLogger the HTTP layer (and in-process callers) emit
+        #: per-request lines through.
+        self.tracer = tracer if tracer is not None else Tracer()
         self.request_log = request_log
         self._backend = make_backend(
             backend, n_workers=n_workers, n_shards=n_shards,
@@ -374,9 +373,13 @@ class SconnaService:
 
         Runs on whatever thread the backend completes on (a worker
         thread, or a shard collector); execution failures arrive as the
-        raised exception and are routed to every waiting future.
+        raised exception and are routed to every waiting future.  This
+        is the one place execution is counted: the batch (or its
+        requests as errors) lands in :attr:`metrics` before any future
+        resolves, so a caller that saw its result also sees it counted.
         """
         if isinstance(result, BaseException):
+            self.metrics.record_error(len(batch))
             self._fail_batch(batch, result)
             return
         try:
@@ -386,7 +389,7 @@ class SconnaService:
             order = np.argsort(logits, axis=1)[:, ::-1]
             done = time.monotonic()
             samples: list[tuple[float, float, int]] = []
-            failed = 0
+            outcomes: "list[tuple[InferenceRequest, object]]" = []
             start = 0
             for req in batch:
                 sl = logits[start : start + req.n_images]
@@ -412,20 +415,24 @@ class SconnaService:
                         cost=cost,
                     )
                 except BaseException as exc:
-                    failed += 1
-                    self._fail_batch([req], exc)
+                    outcomes.append((req, exc))
                     continue
                 samples.append(
                     (latency, result.exec_start - req.enqueued_at, req.n_images)
                 )
-                if not req.future.done():  # client may have cancelled
+                outcomes.append((req, prediction))
+            self.metrics.record_batch(len(batch), result.n_images)
+            self.metrics.record_requests(samples)
+            if len(samples) < len(batch):
+                self.metrics.record_error(len(batch) - len(samples))
+            for req, outcome in outcomes:
+                if isinstance(outcome, BaseException):
+                    self._fail_batch([req], outcome)
+                elif not req.future.done():  # client may have cancelled
                     try:
-                        req.future.set_result(prediction)
+                        req.future.set_result(outcome)
                     except futures.InvalidStateError:
                         pass  # lost the race with a cancel
-            self.metrics.record_requests(samples)
-            if failed:
-                self.metrics.record_error(failed)
             unit = self._unit_cost(entry, batch[0])
             if unit is not None:
                 energy_j, latency_s = unit
@@ -478,31 +485,27 @@ class SconnaService:
 
     # -- metrics / lifecycle ---------------------------------------------
     def reset_metrics(self) -> None:
-        """Discard request-side *and* every backend worker's metrics
-        (benchmarks use this to keep warm-up traffic out of results)."""
+        """Discard every metric recorded so far (benchmarks use this to
+        keep warm-up traffic out of results)."""
         self.metrics.reset()
-        self._backend.reset_metrics()
 
     def metrics_state(self) -> dict:
         """The raw mergeable counter export behind
-        ``/v1/metrics?format=state``: this service's request-side and
-        every backend worker's execution-side counters pre-merged into
-        one :meth:`~repro.serve.metrics.ServeMetrics.state` dict, plus
-        the identity a fleet router needs (models, backend topology).
-        Feed the ``metrics`` field back through
-        :meth:`ServeMetrics.merge` to aggregate across replicas."""
-        agg = ServeMetrics.merged([self.metrics, *self._backend.metrics_states()])
+        ``/v1/metrics?format=state``: :attr:`metrics` as one
+        :meth:`~repro.serve.metrics.ServeMetrics.state` dict, plus the
+        identity a fleet router needs (models, backend topology).  Feed
+        the ``metrics`` field back through :meth:`ServeMetrics.merge` to
+        aggregate across replicas."""
         return {
-            "metrics": agg.state(),
+            "metrics": self.metrics.state(),
             "models": self.models(),
             "backend": self._backend.info(),
         }
 
     def metrics_snapshot(self) -> dict:
-        """One aggregated view: request-side metrics (this object) merged
-        with every backend worker's / shard's execution-side metrics."""
-        agg = ServeMetrics.merged([self.metrics, *self._backend.metrics_states()])
-        snap = agg.snapshot()
+        """One view of :attr:`metrics` plus the backend topology,
+        admission, simulation-cache, queue and telemetry state."""
+        snap = self.metrics.snapshot()
         snap["models"] = self.models()
         snap["backend"] = self._backend.info()
         snap["costs"] = self.costs.stats()

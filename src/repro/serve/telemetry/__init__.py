@@ -34,7 +34,6 @@ from .trace import (
     TracePolicy,
     Tracer,
     TraceStore,
-    remote_span_context,
 )
 
 __all__ = [
@@ -49,6 +48,5 @@ __all__ = [
     "TraceStore",
     "escape_label_value",
     "parse_exposition",
-    "remote_span_context",
     "render_exposition",
 ]

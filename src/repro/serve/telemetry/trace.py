@@ -15,9 +15,7 @@ design constraints, in order:
   on), so a shard's ``(start_s, end_s)`` pairs are directly comparable
   to the parent's.  The shard ships plain ``(name, start_s, end_s,
   tags)`` tuples back over the pipe alongside the logits and the parent
-  grafts them into the request's trace with :meth:`Trace.add_spans` -
-  the parent/worker aggregation idiom of ``ServeMetrics.merge`` applied
-  to spans.
+  grafts them into the request's trace with :meth:`Trace.add_spans`.
 * **Deterministic sampling.**  :class:`TracePolicy` carries an optional
   ``seed``; a seeded tracer's admit/skip sequence is a pure function of
   the request order, which the sampling tests lock.
@@ -280,15 +278,6 @@ class Trace:
                              parent_id=span.parent_id),
             })
         return events
-
-
-def remote_span_context(trace: "Trace | None") -> "dict | None":
-    """The picklable trace context a batch carries across the shard pipe
-    (alongside the RNG-state payload): ``None`` when no request in the
-    batch is being traced, else what the shard needs to know."""
-    if trace is None:
-        return None
-    return {"profile": trace.wants_profile}
 
 
 class TraceStore:

@@ -10,7 +10,7 @@ into an operated system:
   validating with the same strict parser CI uses;
 * :mod:`~repro.serve.telemetry.watch.store` keeps a bounded ring of
   ``(t, value)`` points per series with counter-reset-aware rate and
-  windowed quantile queries;
+  windowed aggregate queries;
 * :mod:`~repro.serve.telemetry.watch.rules` /
   :mod:`~repro.serve.telemetry.watch.engine` evaluate declarative SLO
   rules (multi-window burn rate, thresholds, replica-down, per-model

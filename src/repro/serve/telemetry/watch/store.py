@@ -13,8 +13,7 @@ stdlib-only - it is the watchtower's working set, not a database:
   with Prometheus-style reset handling: a negative delta between
   consecutive points means the counter restarted, so the new value *is*
   the delta;
-* :meth:`quantile` / :meth:`agg` answer windowed queries over gauge
-  samples (reusing :func:`repro.serve.metrics.percentile`);
+* :meth:`agg` answers windowed queries over gauge samples;
 * a series-count cap evicts the least-recently-updated series, and
   both eviction kinds (ring points dropped, whole series evicted) are
   counted so ``/v1/watch/series`` can report store pressure honestly.
@@ -28,8 +27,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-
-from repro.serve.metrics import percentile
 
 #: labels are stored internally as a hashable, order-independent key
 LabelKey = tuple
@@ -202,21 +199,6 @@ class TimeSeriesStore:
             delta = cur - prev
             out.append((t1, (cur if delta < 0 else delta) / step))
         return out
-
-    def quantile(
-        self,
-        name: str,
-        labels: "dict | None",
-        q: float,
-        window_s: float,
-        now: float,
-    ) -> "float | None":
-        """Linear-interpolated quantile of the window's samples
-        (``q`` in [0, 100]); ``None`` on an empty window."""
-        samples = self.values(name, labels, window_s, now)
-        if not samples:
-            return None
-        return percentile(samples, q)
 
     def agg(
         self,

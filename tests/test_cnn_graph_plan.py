@@ -111,6 +111,18 @@ class TestFusedEqualsReference:
             qm.forward(np.zeros(8), mode="int8", fused=True)
 
 
+def requant_grid_dtypes(qm, mode, shape):
+    """The dtypes of the compiled program's inter-layer requantize grids."""
+    prog = qm.network_plan.program_for(mode, shape)
+    return [s.requant[2].dtype for s in prog.stages if s.requant is not None]
+
+
+def quantize_entry(profile):
+    """The ``entry`` tag of a profiled forward's ``quantize`` span."""
+    (span,) = [tags for name, _, _, tags in profile if name == "quantize"]
+    return span["entry"]
+
+
 class TestIntegerSeams:
     """The int8 socket-to-logits acceptance gate: no float64 tensor at
     the entry, inter-layer, or exit seams for integer requests."""
@@ -121,21 +133,19 @@ class TestIntegerSeams:
         x = (np.random.default_rng(6).random((2, *IMAGE_SHAPE)) * 120).astype(
             dtype
         )
-        trace = []
-        out = qm.forward(x, mode="int8", fused=True, trace=trace)
-        entry = trace[0]
-        assert entry == ("entry", f"lut:{np.dtype(dtype).name}")
-        grids = [t for t in trace if t[0] == "grid"]
-        assert grids, "expected inter-layer grid checkpoints"
-        assert all(np.dtype(d).kind == "u" for _, d in grids)
-        assert trace[-1] == ("logits", "float64")
+        profile = []
+        out = qm.forward(x, mode="int8", fused=True, profile=profile)
+        assert quantize_entry(profile) == "lut"
+        grids = requant_grid_dtypes(qm, "int8", x.shape)
+        assert grids, "expected inter-layer requantize grids"
+        assert all(d.kind == "u" for d in grids)
         assert out.dtype == np.float64
 
     def test_float_input_uses_float_workspace_entry(self, models):
         qm = models["mnet_proxy"]
-        trace = []
-        qm.forward(_batch(2, seed=7), mode="int8", fused=True, trace=trace)
-        assert trace[0] == ("entry", "float64-ws")
+        profile = []
+        qm.forward(_batch(2, seed=7), mode="int8", fused=True, profile=profile)
+        assert quantize_entry(profile) == "float"
 
 
 class TestBufferLifetimes:

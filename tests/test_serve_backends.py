@@ -79,8 +79,7 @@ class TestServeMetricsMerge:
         b.record_batch(1, 8)
         b.record_batch(1, 4)
         b.record_error(3)
-        merged = ServeMetrics.merged([a, b])
-        snap = merged.snapshot()
+        snap = ServeMetrics().merge(a).merge(b).snapshot()
         assert snap["requests"] == 2
         assert snap["batches"] == 3
         assert snap["errors"] == 3
@@ -101,7 +100,7 @@ class TestServeMetricsMerge:
         a.record_request(0.1, 0.0)
         time.sleep(0.02)
         b.record_request(0.1, 0.0)
-        merged = ServeMetrics.merged([a, b])
+        merged = ServeMetrics().merge(a).merge(b)
         assert merged.snapshot()["requests_per_s"] is not None
 
     def test_string_histogram_keys_from_json_roundtrip(self):
@@ -225,7 +224,7 @@ class TestProcessBackend:
             f.result(120.0)
         snap = process_service.metrics_snapshot()
         assert snap["requests"] >= 10
-        assert snap["batches"] >= 1  # merged in from shard-side metrics
+        assert snap["batches"] >= 1  # counted in the parent per on_done
         assert snap["backend"]["kind"] == "process"
         assert snap["backend"]["shards"] == 2
         assert len(snap["backend"]["per_shard"]) == 2
@@ -242,15 +241,22 @@ class TestProcessBackend:
         assert process_service.costs.stats()["entries"] >= 1
 
     def test_execution_failure_routed_to_future(self, setup, process_service):
-        bad = np.zeros((1, 3, 10, 10))  # wrong spatial dims for the FC
-        with pytest.raises(Exception):
+        """A batch the shard fails on reaches the caller's future and is
+        counted once, as one error, by the parent."""
+        bad = np.zeros((1, 3, 24, 24), dtype=complex)  # the engine is real-only
+        errors_before = process_service.metrics_snapshot()["errors"]
+        with pytest.raises(TypeError):
             process_service.predict("tiny", bad, timeout=120.0)
+        assert process_service.metrics_snapshot()["errors"] == errors_before + 1
 
     def test_shard_crash_recovery(self, setup, process_service):
         """Kill a shard process: the backend reaps it, respawns the
-        slot, reloads the model, and seeded results are unchanged."""
+        slot, reloads the model, and seeded results are unchanged.  The
+        parent counted every batch, so no counter moves with the kill."""
         qm, ds = setup
         expected = process_service.predict("tiny", ds.images[2], seed=5, timeout=120.0)
+        counted = ("requests", "batches", "errors")
+        before = process_service.metrics_snapshot()
         backend = process_service.backend
         restarts_before = backend.restarts
         backend._shards[0].process.terminate()
@@ -263,8 +269,47 @@ class TestProcessBackend:
         info = backend.info()
         assert info["alive"] == 2
         assert backend.restarts > restarts_before
+        snap = process_service.metrics_snapshot()
+        assert {k: snap[k] for k in counted} == {k: before[k] for k in counted}
+        assert snap["batch_size"] == before["batch_size"]
         after = process_service.predict("tiny", ds.images[2], seed=5, timeout=120.0)
         assert np.array_equal(after.logits, expected.logits)
+
+    def test_snapshot_does_not_wait_for_a_busy_shard(self, setup):
+        """A snapshot taken while the only shard runs a long batch
+        returns at once and still counts the batch before it."""
+        _, ds = setup
+        rng = make_rng(1)
+        wide = Sequential(
+            Flatten(), Linear(3 * 24 * 24, 512, rng=rng), ReLU(),
+            Linear(512, N_CLASSES, rng=rng),
+        )
+        qm = QuantizedModel.from_trained(wide, ds.images[:24])
+        # 1000 uint8 images through a wide linear layer keep the shard
+        # busy for ~0.8 s (native kernel) at ~0.1 GB of shard memory
+        stack = (np.resize(ds.images, (1000, 3, 24, 24)) * 200).astype(np.uint8)
+        svc = SconnaService(policy=POLICY, backend="process", n_shards=1)
+        try:
+            svc.add_model("wide", qm)
+            svc.predict("wide", stack[0], seed=1, timeout=120.0)
+            fut = svc.predict_async("wide", stack, seed=2)
+            deadline = time.monotonic() + 30.0
+            while svc.backend.info()["per_shard"][0]["in_flight"] == 0:
+                assert time.monotonic() < deadline, "batch never dispatched"
+                time.sleep(0.005)
+            t0 = time.monotonic()
+            snap = svc.metrics_snapshot()
+            elapsed = time.monotonic() - t0
+            assert not fut.done(), "the long batch finished first"
+            assert elapsed < 0.5
+            assert snap["batches"] == 1
+            assert snap["batch_size"]["histogram"] == {"1": 1}
+            fut.result(120.0)
+            snap = svc.metrics_snapshot()
+            assert snap["batches"] == 2
+            assert snap["batch_size"]["histogram"] == {"1": 1, "1000": 1}
+        finally:
+            svc.close()
 
     def test_drain_on_close_and_reaped_shards(self, setup):
         qm, ds = setup

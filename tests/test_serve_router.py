@@ -40,9 +40,14 @@ from repro.serve import (
     serve_http,
     serve_router,
 )
-from repro.serve.client import ServiceUnavailable
+from repro.serve.client import ClientError, ServiceUnavailable
 from repro.serve.router import Replica, spawn_replicas
-from repro.serve.telemetry import TracePolicy, parse_exposition, render_exposition
+from repro.serve.telemetry import (
+    TracePolicy,
+    Tracer,
+    parse_exposition,
+    render_exposition,
+)
 from repro.utils.rng import make_rng
 
 
@@ -72,7 +77,7 @@ def replicas(setup):
     for name in ("replica-a", "replica-b"):
         svc = SconnaService(
             policy=BatchingPolicy(max_batch_size=8, max_wait_ms=1.0),
-            n_workers=1, trace_policy=TracePolicy(sample_rate=1.0),
+            n_workers=1, tracer=Tracer(TracePolicy(sample_rate=1.0)),
         )
         svc.add_model("tiny", qm)
         server, _ = serve_http(svc, replica_id=name)
@@ -91,7 +96,7 @@ def _make_router(urls, background=False, **policy_kwargs):
     defaults.update(policy_kwargs)
     return Router(
         list(urls), policy=RouterPolicy(**defaults),
-        trace_policy=TracePolicy(sample_rate=1.0),
+        tracer=Tracer(TracePolicy(sample_rate=1.0)),
         probe_in_background=background,
     )
 
@@ -146,6 +151,12 @@ class TestRoutedEquivalence:
             trace_id = client.last_trace_id
             replica_name = client.last_replica
         assert trace_id is not None
+        # both servers commit a trace after flushing the response, so
+        # the client can hold its answer before either store has it
+        deadline = time.monotonic() + 10.0
+        while (router.tracer.store.get(trace_id) is None
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
         hop = router.tracer.store.get(trace_id)
         assert hop is not None
         assert any(s.name == "router.forward" for s in hop.spans())
@@ -153,7 +164,14 @@ class TestRoutedEquivalence:
             r for r in router.replicas if r.replica_id == replica_name
         )
         with SconnaClient(replica.url) as client:
-            doc = client.trace(trace_id)
+            while True:
+                try:
+                    doc = client.trace(trace_id)
+                    break
+                except ClientError:
+                    if time.monotonic() >= deadline:
+                        raise
+                    time.sleep(0.01)
         assert doc["trace_id"] == trace_id
 
     def test_router_surface_mirrors_a_single_server(self, routed):
@@ -381,7 +399,7 @@ class TestFleetMetrics:
             doc = client._get_json("/v1/metrics?format=state")
             snap = client.metrics()
         assert set(doc) >= {"metrics", "models", "backend"}
-        rebuilt = ServeMetrics.from_state(doc["metrics"]).snapshot()
+        rebuilt = ServeMetrics().merge(doc["metrics"]).snapshot()
         assert rebuilt["requests"] == snap["requests"]
         assert rebuilt["batch_size"]["histogram"] == (
             snap["batch_size"]["histogram"]

@@ -32,7 +32,7 @@ from repro.serve import (
     serve_http,
 )
 from repro.serve.shm import DEFAULT_RING_BYTES
-from repro.serve.telemetry import POLICY_ALWAYS, POLICY_OFF
+from repro.serve.telemetry import POLICY_ALWAYS, POLICY_OFF, Tracer
 from repro.stochastic.error_models import SconnaErrorModel
 from repro.utils.cores import usable_cores
 from repro.utils.rng import make_rng
@@ -53,7 +53,7 @@ def setup():
 
 
 def traced_service(qm, **kwargs):
-    svc = SconnaService(policy=POLICY, trace_policy=POLICY_ALWAYS, **kwargs)
+    svc = SconnaService(policy=POLICY, tracer=Tracer(POLICY_ALWAYS), **kwargs)
     svc.add_model("tiny", qm)
     return svc
 
@@ -93,7 +93,7 @@ class TestThreadBackendTraces:
 
     def test_tracing_off_stores_nothing(self, setup):
         qm, ds = setup
-        svc = SconnaService(policy=POLICY, trace_policy=POLICY_OFF,
+        svc = SconnaService(policy=POLICY, tracer=Tracer(POLICY_OFF),
                             n_workers=1)
         svc.add_model("tiny", qm)
         try:
@@ -107,7 +107,7 @@ class TestThreadBackendTraces:
         qm, ds = setup
         results = {}
         for key, policy in (("off", POLICY_OFF), ("on", POLICY_ALWAYS)):
-            svc = SconnaService(policy=POLICY, trace_policy=policy,
+            svc = SconnaService(policy=POLICY, tracer=Tracer(policy),
                                 n_workers=1)
             svc.add_model("tiny", qm)
             try:
@@ -186,7 +186,7 @@ class TestProcessBackendTraces:
         svc = SconnaService(
             policy=BatchingPolicy(max_batch_size=4, max_wait_ms=10_000.0,
                                   min_fill=4),
-            trace_policy=POLICY_ALWAYS,
+            tracer=Tracer(POLICY_ALWAYS),
             backend=ProcessBackend(n_shards=n_shards),
         )
         svc.add_model("tiny", qm)
@@ -241,7 +241,7 @@ class TestProcessBackendTraces:
         qm, ds = setup
         results = {}
         for key, policy in (("off", POLICY_OFF), ("on", POLICY_ALWAYS)):
-            svc = SconnaService(policy=POLICY, trace_policy=policy,
+            svc = SconnaService(policy=POLICY, tracer=Tracer(policy),
                                 backend="process", n_shards=1)
             svc.add_model("tiny", qm)
             try:
@@ -258,7 +258,7 @@ class TestHTTPSurface:
         qm, _ = setup
         log_stream = io.StringIO()
         svc = SconnaService(
-            policy=POLICY, n_workers=2, trace_policy=POLICY_ALWAYS,
+            policy=POLICY, n_workers=2, tracer=Tracer(POLICY_ALWAYS),
             request_log=StructuredLogger(log_stream),
         )
         svc.add_model("tiny", qm)
@@ -368,7 +368,7 @@ class TestHTTPSurface:
         for _ in range(2):
             svc = SconnaService(
                 policy=POLICY, n_workers=1,
-                trace_policy=TracePolicy(sample_rate=0.5, seed=7),
+                tracer=Tracer(TracePolicy(sample_rate=0.5, seed=7)),
             )
             svc.add_model("tiny", qm)
             try:
@@ -379,3 +379,35 @@ class TestHTTPSurface:
             admitted.append(svc.tracer.stats()["committed"])
         assert admitted[0] == admitted[1]
         assert 0 < admitted[0] < 8
+
+
+class TestServeCLI:
+    def test_trace_capacity_bounds_the_replica_ring(self, setup, tmp_path):
+        """``python -m repro.serve --trace-capacity N`` keeps N traces."""
+        import socket
+
+        from repro.serve import ModelRegistry
+        from repro.serve.router import spawn_replicas
+
+        qm, ds = setup
+        ModelRegistry(tmp_path).save("tiny", qm)
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        processes, (url,) = spawn_replicas(
+            str(tmp_path), 1, port,
+            extra_args=["--workers", "1", "--trace-sample-rate", "1",
+                        "--trace-capacity", "3"],
+            wait_s=60.0,
+        )
+        try:
+            with SconnaClient(url) as client:
+                for i in range(5):
+                    client.predict(ds.images[i], model="tiny", seed=i)
+                stats = client._get_json("/v1/trace")["stats"]
+        finally:
+            for proc in processes:
+                proc.terminate()
+            for proc in processes:
+                proc.wait(timeout=30.0)
+        assert stats["store"] == {"capacity": 3, "stored": 3, "evicted": 2}

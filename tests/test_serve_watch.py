@@ -121,17 +121,16 @@ class TestTimeSeriesStore:
         derived = TimeSeriesStore.rate_series(pts)
         assert derived == [(1.0, 10.0), (2.0, 4.0)]
 
-    def test_windowed_quantile_and_aggregates(self):
+    def test_windowed_aggregates(self):
         store = TimeSeriesStore()
         for t, v in enumerate([1.0, 2.0, 3.0, 4.0]):
             store.observe("g", None, v, float(t))
-        assert store.quantile("g", None, 50.0, 10.0, 3.0) == pytest.approx(2.5)
         # window covering only the last two points
-        assert store.quantile("g", None, 50.0, 1.0, 3.0) == pytest.approx(3.5)
+        assert store.agg("g", None, "mean", 1.0, 3.0) == pytest.approx(3.5)
         assert store.agg("g", None, "max", 10.0, 3.0) == 4.0
         assert store.agg("g", None, "mean", 10.0, 3.0) == pytest.approx(2.5)
         assert store.agg("g", None, "last", 10.0, 3.0) == 4.0
-        assert store.quantile("missing", None, 50.0, 10.0, 3.0) is None
+        assert store.agg("missing", None, "mean", 10.0, 3.0) is None
         with pytest.raises(ValueError, match="unknown aggregate"):
             store.agg("g", None, "median", 10.0, 3.0)
 

@@ -99,15 +99,19 @@ class TestIntegerNativeFrames:
         )
         decoded = tensors["image"]
         assert decoded.dtype == np.uint8
-        trace = []
-        got = qm.forward(decoded, mode="int8", fused=True, trace=trace)
+        profile = []
+        got = qm.forward(decoded, mode="int8", fused=True, profile=profile)
         assert np.array_equal(got, qm.forward(img, mode="int8", fused=False))
-        # the dtype checkpoints at every seam stay integer until logits
-        assert trace[0] == ("entry", "lut:uint8")
+        # every seam stays integer until the logits: the LUT entry, the
+        # compiled program's requantize grids, and only then float64
+        (entry,) = [t["entry"] for n, _, _, t in profile if n == "quantize"]
+        assert entry == "lut"
+        prog = qm.network_plan.program_for("int8", decoded.shape)
         assert all(
-            np.dtype(d).kind == "u" for t, d in trace if t == "grid"
+            s.requant[2].dtype.kind == "u"
+            for s in prog.stages if s.requant is not None
         )
-        assert trace[-1] == ("logits", "float64")
+        assert got.dtype == np.float64
 
 
 class TestFrameValidation:

@@ -23,7 +23,6 @@ from repro.serve.telemetry import (
     TraceStore,
     escape_label_value,
     parse_exposition,
-    remote_span_context,
     render_exposition,
 )
 
@@ -152,11 +151,6 @@ class TestPolicyAndSampling:
         assert stats["started"] == 3
         assert stats["committed"] == 3
         assert stats["store"]["stored"] == 3
-
-    def test_remote_span_context(self):
-        assert remote_span_context(None) is None
-        tr = Trace(wants_profile=True)
-        assert remote_span_context(tr) == {"profile": True}
 
 
 class TestTraceStore:
