@@ -27,11 +27,14 @@ cost):
 * :mod:`repro.serve.wire`      - the binary tensor wire protocol
   (NPY bodies and length-prefixed multi-tensor frames) the HTTP layer
   negotiates alongside JSON,
-* :mod:`repro.serve.client`    - :class:`SconnaClient`, the stdlib-only
-  keep-alive HTTP client (binary by default, JSON fallback, streamed
-  multi-image responses),
-* :mod:`repro.serve.httpd`     - stdlib HTTP/1.1 endpoint speaking JSON
-  and the binary wire, with chunked per-image streaming (also a CLI:
+* :mod:`repro.serve.http11`    - the one HTTP/1.1 codec (server and
+  client ends) under the endpoint, the router, the client and the
+  watchtower: strict head parsing, one write per message,
+* :mod:`repro.serve.client`    - :class:`SconnaClient`, the keep-alive
+  HTTP client (binary by default, JSON fallback, streamed multi-image
+  responses),
+* :mod:`repro.serve.httpd`     - HTTP/1.1 endpoint speaking JSON and
+  the binary wire, with chunked per-image streaming (also a CLI:
   ``python -m repro.serve``),
 * :mod:`repro.serve.metrics`   - throughput / latency-percentile /
   batch-shape accounting, recorded once per batch in the serving

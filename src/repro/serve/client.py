@@ -1,7 +1,8 @@
-"""``SconnaClient`` - a stdlib-only keep-alive client for the HTTP API.
+"""``SconnaClient`` - a dependency-free keep-alive client for the HTTP API.
 
-One client wraps one persistent ``http.client.HTTPConnection`` (HTTP/1.1
-keep-alive: many requests, one TCP handshake) and speaks the binary wire
+One client wraps one persistent :class:`~repro.serve.http11.Connection`
+(HTTP/1.1 keep-alive: many requests, one TCP handshake; each request
+leaves as one write of head and body) and speaks the binary wire
 protocol by default:
 
 * ``wire="frame"`` (default) - requests and responses as
@@ -40,10 +41,8 @@ Usage::
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
-import socket
 import time
 import urllib.parse
 from dataclasses import dataclass
@@ -51,19 +50,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.serve import wire
+from repro.serve.http11 import Connection, Response
 from repro.serve.wire import (
     CONTENT_TYPE_FRAME,
     CONTENT_TYPE_JSON,
     CONTENT_TYPE_NPY,
-    WireError,
+    REPLICA_HEADER,
+    TRACE_ID_HEADER,
 )
-
-#: the server's per-request trace id rides this response header
-TRACE_ID_HEADER = "X-Sconna-Trace-Id"
-
-#: which replica answered (set by replicas started with ``--replica-id``
-#: and stamped by the router when relaying)
-REPLICA_HEADER = "X-Sconna-Replica"
 
 logger = logging.getLogger("repro.serve.client")
 
@@ -174,22 +168,14 @@ class SconnaClient:
         self.opened = 0          #: TCP connections made (1 == keep-alive held)
         self.last_trace_id: "str | None" = None  #: from the latest response
         self.last_replica: "str | None" = None   #: from the latest response
-        self._conn: "http.client.HTTPConnection | None" = None
+        self._conn: "Connection | None" = None
         self._json_fallback = False
 
     # -- connection plumbing ---------------------------------------------
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> Connection:
         if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
+            self._conn = Connection(self.host, self.port, timeout=self.timeout)
             self._conn.connect()
-            # mirror the server's TCP_NODELAY: a request whose headers
-            # and body leave in separate writes must not wait out the
-            # server's delayed ACK between them
-            self._conn.sock.setsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-            )
             self.opened += 1
         return self._conn
 
@@ -208,13 +194,14 @@ class SconnaClient:
     def _request(
         self, method: str, path: str, body: "bytes | None" = None,
         headers: "dict[str, str] | None" = None,
-    ) -> http.client.HTTPResponse:
+    ) -> Response:
         """One round trip; a dead keep-alive connection is rebuilt once.
 
         The retry only covers failures *sending* the request or reading
-        the status line of a connection the server already closed -
-        the request never executed, so re-sending is safe.  A *timeout*
-        is never retried: the server may well be executing the request
+        the status line of a connection the server already closed
+        (end-of-file there is a :class:`ConnectionResetError`) - the
+        request never executed, so re-sending is safe.  A *timeout* is
+        never retried: the server may well be executing the request
         right now, and re-sending it would double the load.
         """
         for attempt in (0, 1):
@@ -225,9 +212,7 @@ class SconnaClient:
             except TimeoutError:
                 self.close()
                 raise
-            except (http.client.NotConnected, http.client.BadStatusLine,
-                    BrokenPipeError, ConnectionResetError,
-                    ConnectionRefusedError, OSError):
+            except OSError:   # reset, broken pipe, refused, bad status line
                 self.close()
                 if attempt:
                     raise
@@ -244,10 +229,9 @@ class SconnaClient:
                 retry_after_s=float(resp.headers.get("Retry-After", 0.05)),
                 trace_id=resp.headers.get(TRACE_ID_HEADER),
             )
-        if resp.status == 503 and resp.headers.get("Retry-After"):
-            raise ServiceUnavailable(
-                message, retry_after_s=float(resp.headers["Retry-After"])
-            )
+        retry_after = resp.headers.get("Retry-After")
+        if resp.status == 503 and retry_after:
+            raise ServiceUnavailable(message, retry_after_s=float(retry_after))
         raise ClientError(resp.status, message)
 
     # -- GET endpoints ---------------------------------------------------

@@ -1,17 +1,17 @@
-"""Stdlib HTTP endpoint for :class:`~repro.serve.service.SconnaService`.
+"""HTTP endpoint for :class:`~repro.serve.service.SconnaService`.
 
-No third-party web framework - a :class:`http.server.ThreadingHTTPServer`
-is enough here because the handler thread only *enqueues* into the
-micro-batching scheduler and waits on a future; coalescing and compute
-happen in the service's own workers (threads, or shard processes under
-the process backend - the HTTP layer is identical either way).
-
-The handler speaks **HTTP/1.1 with keep-alive**: every response carries
-``Content-Length`` (or chunked transfer-encoding on the streaming
-path), so one client connection serves many requests - the per-request
-TCP handshake the HTTP/1.0 handler paid is gone.  Error responses sent
-*before* the request body was fully read add ``Connection: close``
-(the unread body would otherwise be parsed as the next request).
+No web framework: a thread per connection is enough here because the
+handler thread only *enqueues* into the micro-batching scheduler and
+waits on a future; coalescing and compute happen in the service's own
+workers (threads, or shard processes under the process backend - the
+HTTP layer is identical either way).  Framing is the shared codec's
+(:mod:`repro.serve.http11`): **HTTP/1.1 with keep-alive**, every
+response one write of head and body with ``Content-Length`` (or chunked
+transfer-encoding on the streaming path), request bodies read straight
+into a fresh buffer the wire decoders view in place.  Error responses
+sent *before* the request body was fully read add ``Connection:
+close`` (the unread body would otherwise be parsed as the next
+request).
 
 ``POST /v1/predict`` negotiates the request body over ``Content-Type``
 and the response over ``Accept`` (see :mod:`repro.serve.wire`):
@@ -104,31 +104,21 @@ import json
 import threading
 import time
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from repro.serve import wire
+from repro.serve import http11, wire
 from repro.serve.admission import AdmissionError
 from repro.serve.telemetry import PROMETHEUS_CONTENT_TYPE, render_exposition
 from repro.serve.wire import (
     CONTENT_TYPE_FRAME,
     CONTENT_TYPE_JSON,
     CONTENT_TYPE_NPY,
+    PARENT_TRACE_HEADER,
+    REPLICA_HEADER,
+    TRACE_ID_HEADER,
     WireError,
 )
-
-#: response header carrying the request's trace id (all statuses)
-TRACE_ID_HEADER = "X-Sconna-Trace-Id"
-
-#: request header carrying an upstream (router) trace id; when present
-#: and the request is sampled, the server's trace adopts it so the
-#: router hop and the replica's span tree share one id end to end
-PARENT_TRACE_HEADER = "X-Sconna-Parent-Trace"
-
-#: response header naming this server within a replica fleet (set when
-#: the server was started with a ``replica_id``)
-REPLICA_HEADER = "X-Sconna-Replica"
 
 #: request body cap (a (n,3,224,224) float image batch fits comfortably)
 MAX_BODY_BYTES = 256 * 1024 * 1024
@@ -212,18 +202,8 @@ def _prediction_meta(prediction) -> dict:
     }
 
 
-class _ServeHandler(BaseHTTPRequestHandler):
+class _ServeHandler(http11.RequestHandler):
     server: "ServeHTTPServer"
-
-    #: HTTP/1.1 so keep-alive is the default; every non-streamed
-    #: response carries Content-Length, the streamed one is chunked
-    protocol_version = "HTTP/1.1"
-    #: idle keep-alive connections are reaped (each holds a thread)
-    timeout = 65.0
-    #: headers and body go out as separate writes; with Nagle on, the
-    #: second write can stall ~40 ms behind the peer's delayed ACK -
-    #: on a keep-alive connection that tax lands on *every* response
-    disable_nagle_algorithm = True
 
     #: the in-flight request's telemetry trace (set per predict request,
     #: cleared after; _send_body reads it so *every* response to a
@@ -233,6 +213,14 @@ class _ServeHandler(BaseHTTPRequestHandler):
     _last_status = 0
 
     # -- plumbing --------------------------------------------------------
+    def _common_headers(self, content_type: str) -> "list[tuple[str, str]]":
+        headers = [("Content-Type", content_type)]
+        if self._trace is not None:
+            headers.append((TRACE_ID_HEADER, self._trace.trace_id))
+        if self.server.replica_id:
+            headers.append((REPLICA_HEADER, self.server.replica_id))
+        return headers
+
     def _send_body(
         self,
         body: bytes,
@@ -242,24 +230,9 @@ class _ServeHandler(BaseHTTPRequestHandler):
         extra_headers: "list[tuple[str, str]] | None" = None,
     ) -> None:
         self._last_status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if self._trace is not None:
-            self.send_header(TRACE_ID_HEADER, self._trace.trace_id)
-        replica_id = getattr(self.server, "replica_id", None)
-        if replica_id:
-            self.send_header(REPLICA_HEADER, replica_id)
-        for name, value in extra_headers or ():
-            self.send_header(name, value)
-        if close:
-            # the request body was not (fully) read: the bytes left on
-            # the socket would be parsed as the next request, so the
-            # connection cannot be reused
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
+        headers = self._common_headers(content_type)
+        headers.extend(extra_headers or ())
+        self.send_message(status, headers, body, close=close)
 
     def _send_json(
         self, payload: dict, status: int = 200, close: bool = False,
@@ -295,10 +268,6 @@ class _ServeHandler(BaseHTTPRequestHandler):
         else:  # inference failure -> 500 with context
             self._send_error(500, f"{type(exc).__name__}: {exc}")
 
-    def log_message(self, format: str, *args) -> None:
-        if self.server.verbose:
-            super().log_message(format, *args)
-
     # -- routes ----------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler API)
         self._trace = None
@@ -310,9 +279,8 @@ class _ServeHandler(BaseHTTPRequestHandler):
         }
         if path == "/healthz":
             health = {"status": "ok"}
-            replica_id = getattr(self.server, "replica_id", None)
-            if replica_id:
-                health["replica"] = replica_id
+            if self.server.replica_id:
+                health["replica"] = self.server.replica_id
             self._send_json(health)
         elif path == "/v1/models":
             self._send_json({"models": service.models()})
@@ -380,8 +348,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
         path, _, query = self.path.partition("?")
         if path != "/v1/predict":
             self._trace = None
-            # the body was never read; this connection cannot be reused
-            self._send_error(404, f"unknown path {self.path!r}", close=True)
+            self._send_error(404, f"unknown path {self.path!r}")
             return
         service = self.server.service
         tracer = getattr(service, "tracer", None)
@@ -422,26 +389,10 @@ class _ServeHandler(BaseHTTPRequestHandler):
     ) -> "tuple[str | None, str | None]":
         """The POST /v1/predict body; returns ``(model, response type)``
         for the access log (``None`` where the request died first)."""
-        try:
-            length = int(self.headers.get("Content-Length", ""))
-        except ValueError:
-            self._send_error(411, "Content-Length is required", close=True)
-            return None, None
-        if length <= 0:
-            self._send_error(400, "missing request body", close=length < 0)
-            return None, None
-        if length > MAX_BODY_BYTES:
-            self._send_error(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte cap",
-                close=True,
-            )
-            return None, None
         t0 = time.monotonic() if trace is not None else 0.0
-        body = self._read_exact(length)
+        body = self._read_predict_body()
         if body is None:
-            return None, None  # client hung up mid-body; nothing to answer
+            return None, None
         ctype = (self.headers.get("Content-Type") or CONTENT_TYPE_JSON)
         ctype = ctype.partition(";")[0].strip().lower()
         try:
@@ -460,7 +411,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
             return None, ctype
         if trace is not None:
             trace.add_span("http.parse", t0, time.monotonic(),
-                           tags={"wire": ctype, "nbytes": length})
+                           tags={"wire": ctype, "nbytes": len(body)})
         model = fields["model"]
         if model is None:
             names = service.models()
@@ -522,25 +473,33 @@ class _ServeHandler(BaseHTTPRequestHandler):
         return model, resp_type
 
     # -- request parsing -------------------------------------------------
-    def _read_exact(self, length: int) -> "bytes | None":
-        """Read the full request body; ``None`` if the client hung up."""
-        chunks: "list[bytes]" = []
-        got = 0
-        while got < length:
-            chunk = self.rfile.read(length - got)
-            if not chunk:
-                self.close_connection = True
-                return None
-            chunks.append(chunk)
-            got += len(chunk)
-        return b"".join(chunks)
+    def _read_predict_body(self) -> "memoryview | None":
+        """The request's Content-Length body (a read-only view), or None
+        once the failure is answered - or the client hung up mid-body."""
+        try:
+            length = int(self.headers.get("Content-Length", ""))
+        except ValueError:
+            self._send_error(411, "Content-Length is required", close=True)
+            return None
+        if not length:
+            self._send_error(400, "missing request body")
+            return None
+        if length > MAX_BODY_BYTES:
+            self._send_error(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte cap",
+            )
+            return None
+        return self.read_body(length)
 
     def _parse_request(
-        self, ctype: str, body: bytes, query: str
+        self, ctype: str, body, query: str
     ) -> "tuple[dict, object]":
-        """Decode one request body into (normalized fields, images)."""
+        """Decode one request body (a read-only view) into (normalized
+        fields, images); binary tensors stay views of the body."""
         if ctype == CONTENT_TYPE_JSON:
-            payload = json.loads(body)
+            payload = json.loads(bytes(body))
             if not isinstance(payload, dict):
                 raise ValueError("JSON body must be an object")
             if "image" not in payload:
@@ -664,32 +623,20 @@ class _ServeHandler(BaseHTTPRequestHandler):
         return wire.encode_frame(meta)
 
     def _write_stream(self, frames) -> None:
-        """Send a committed 200 as chunked frames (one chunk per frame)."""
+        """Send a committed 200 as chunked frames (one chunk per frame,
+        each leaving as soon as it is encoded)."""
         self._last_status = 200
-        self.send_response(200)
-        if self._trace is not None:
-            self.send_header(TRACE_ID_HEADER, self._trace.trace_id)
-        replica_id = getattr(self.server, "replica_id", None)
-        if replica_id:
-            self.send_header(REPLICA_HEADER, replica_id)
-        self.send_header("Content-Type", CONTENT_TYPE_FRAME)
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
         try:
+            self.start_chunked(200, self._common_headers(CONTENT_TYPE_FRAME))
             for frame in frames:
-                self.wfile.write(
-                    f"{len(frame):X}\r\n".encode() + frame + b"\r\n"
-                )
-                self.wfile.flush()
-            self.wfile.write(b"0\r\n\r\n")
-        except (BrokenPipeError, ConnectionResetError, OSError):
+                self.send_chunk(frame)
+            self.end_chunked()
+        except OSError:
             self.close_connection = True  # client went away mid-stream
 
 
-class ServeHTTPServer(ThreadingHTTPServer):
+class ServeHTTPServer(http11.HTTPServer):
     """HTTP front-end bound to one service (``port=0`` picks a free port)."""
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -697,37 +644,29 @@ class ServeHTTPServer(ThreadingHTTPServer):
         host: str = "127.0.0.1",
         port: int = 0,
         request_timeout_s: float = 60.0,
-        verbose: bool = False,
         replica_id: "str | None" = None,
         handler_class: "type | None" = None,
     ) -> None:
         self.service = service
         self.request_timeout_s = request_timeout_s
-        self.verbose = verbose
         #: fleet identity: when set, every response carries it in
         #: X-Sconna-Replica and /healthz reports it (a router learns
         #: replica names this way)
         self.replica_id = replica_id
         super().__init__((host, port), handler_class or _ServeHandler)
 
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
-
 
 def serve_http(
     service,
     host: str = "127.0.0.1",
     port: int = 0,
-    verbose: bool = False,
     replica_id: "str | None" = None,
 ) -> "tuple[ServeHTTPServer, threading.Thread]":
     """Start a background HTTP server; returns (server, thread).
 
     Call ``server.shutdown()`` then ``service.close()`` to stop.
     """
-    server = ServeHTTPServer(service, host=host, port=port, verbose=verbose,
+    server = ServeHTTPServer(service, host=host, port=port,
                              replica_id=replica_id)
     thread = threading.Thread(
         target=server.serve_forever, name="sconna-httpd", daemon=True
@@ -787,7 +726,6 @@ def main(argv: "list[str] | None" = None) -> None:
                         help="fleet identity: sent on every response as "
                              "X-Sconna-Replica and reported by /healthz "
                              "(a fronting repro.serve.router learns it)")
-    parser.add_argument("--verbose", action="store_true")
     parser.add_argument("--trace-sample-rate", type=float, default=1.0 / 16,
                         help="fraction of requests that keep a full trace "
                              "(default: 1/16; 0 disables tracing)")
@@ -859,8 +797,7 @@ def main(argv: "list[str] | None" = None) -> None:
     for name in names:
         service.add_from_registry(registry, name)
     server, _ = serve_http(
-        service, host=args.host, port=args.port, verbose=args.verbose,
-        replica_id=args.replica_id,
+        service, host=args.host, port=args.port, replica_id=args.replica_id,
     )
     # chain=False: the signal must hand control *back* after the drain
     # so the topology report below still runs; the signal is re-raised

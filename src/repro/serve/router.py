@@ -2,7 +2,7 @@
 
 Everything below ``repro.serve.router`` scales *within* one process
 tree (threads, shard processes, shm rings); this module is the first
-step from "a server" to "a fleet": a stdlib HTTP front-end that
+step from "a server" to "a fleet": an HTTP front-end that
 load-balances keep-alive connections across multiple independent
 server replicas (``python -m repro.serve`` processes, typically one
 per host or one per NUMA domain), each fronting the same model
@@ -37,6 +37,11 @@ Design, in the order an operator cares:
   bytes have been relayed the request is never re-sent (the replica
   executed it; a retry would double noise draws for unseeded
   requests) - a mid-response death surfaces as a 502.
+* **Relay.**  Front-end and upstream speak the shared codec
+  (:mod:`repro.serve.http11`): a relayed response leaves as one write
+  of head and body with the router's own ``Date`` (the replica's
+  ``Date`` and ``Server`` are dropped), and a streamed response is
+  relayed chunk by chunk as each upstream chunk arrives.
 * **Graceful drain.**  :meth:`Router.drain` (or ``POST
   /v1/router/drain?replica=...``) marks a replica draining: no new
   requests are routed to it, in-flight ones complete, and the call
@@ -84,31 +89,33 @@ CLI - front an existing fleet, or spawn one::
 from __future__ import annotations
 
 import hashlib
-import http.client
 import itertools
 import json
-import socket
 import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
 
+from repro.serve.http11 import Connection, Response
 from repro.serve.httpd import _ServeHandler, ServeHTTPServer
 from repro.serve.metrics import ServeMetrics
 from repro.serve.telemetry import Tracer, TracePolicy
-from repro.serve.wire import CONTENT_TYPE_FRAME, CONTENT_TYPE_NPY
-
-#: request header the router sets so replicas join the router's trace
-PARENT_TRACE_HEADER = "X-Sconna-Parent-Trace"
-#: response header naming the replica that served a routed request
-REPLICA_HEADER = "X-Sconna-Replica"
+from repro.serve.wire import (
+    CONTENT_TYPE_FRAME,
+    CONTENT_TYPE_NPY,
+    PARENT_TRACE_HEADER,
+    REPLICA_HEADER,
+)
 
 #: hop-by-hop headers that must not be relayed verbatim (the router
-#: re-frames the body and owns its own connection lifecycle)
+#: re-frames the body, owns its own connection lifecycle, and has
+#: already answered any ``Expect: 100-continue`` itself)
 _HOP_HEADERS = frozenset((
     "connection", "keep-alive", "transfer-encoding", "content-length",
-    "te", "trailer", "upgrade", "proxy-connection",
+    "te", "trailer", "upgrade", "proxy-connection", "expect",
 ))
+#: upstream response headers the router replaces with its own
+_RELAY_DROP = _HOP_HEADERS | {"date", "server"}
 
 
 class ReplicaError(RuntimeError):
@@ -170,7 +177,7 @@ class Replica:
         self.policy = policy
         self.replica_id: "str | None" = None   #: learned from /healthz
         self._lock = threading.Lock()
-        self._pool: "list[http.client.HTTPConnection]" = []
+        self._pool: "list[Connection]" = []
         # health state (guarded by _lock)
         self.healthy = True
         self.draining = False
@@ -184,29 +191,29 @@ class Replica:
         self.last_error: "str | None" = None
 
     # -- connection pool -------------------------------------------------
-    def _connect(self) -> http.client.HTTPConnection:
-        conn = http.client.HTTPConnection(
+    def _connect(self) -> Connection:
+        conn = Connection(
             self.host, self.port, timeout=self.policy.connect_timeout_s
         )
         conn.connect()
-        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn.sock.settimeout(self.policy.request_timeout_s)
         return conn
 
-    def _acquire(self) -> "tuple[http.client.HTTPConnection, bool]":
+    def _acquire(self) -> "tuple[Connection, bool]":
         """An idle pooled connection (True: may be stale) or a fresh one."""
         with self._lock:
             if self._pool:
                 return self._pool.pop(), True
         return self._connect(), False
 
-    def release(self, conn: http.client.HTTPConnection, ok: bool = True) -> None:
+    def release(self, conn: Connection, ok: bool = True) -> None:
         """Hand a connection back after its response body was consumed.
 
         ``ok=False`` closes it instead of pooling - a half-read
-        response would desync the next request on that connection.
+        response would desync the next request on that connection.  A
+        connection the replica closed is dropped, not pooled.
         """
-        if ok:
+        if ok and conn.sock is not None:
             with self._lock:
                 self._pool.append(conn)
             return
@@ -227,7 +234,7 @@ class Replica:
     def request(
         self, method: str, path: str, body: "bytes | None" = None,
         headers: "dict[str, str] | None" = None,
-    ) -> "tuple[http.client.HTTPConnection, http.client.HTTPResponse]":
+    ) -> "tuple[Connection, Response]":
         """One upstream round trip to the status line.
 
         Returns the live ``(connection, response)`` pair - the caller
@@ -244,7 +251,7 @@ class Replica:
                 conn, pooled = self._acquire()
                 conn.request(method, path, body=body, headers=headers or {})
                 return conn, conn.getresponse()
-            except (http.client.HTTPException, TimeoutError, OSError) as exc:
+            except OSError as exc:   # timeouts and protocol errors included
                 if conn is not None:
                     try:
                         conn.close()
@@ -411,7 +418,7 @@ class Router:
         headers: "dict[str, str]",
         trace=None,
         info: "dict | None" = None,
-    ) -> "tuple[Replica, http.client.HTTPConnection, http.client.HTTPResponse]":
+    ) -> "tuple[Replica, Connection, Response]":
         """Route one request; redispatch across replicas on failure.
 
         Returns the winning ``(replica, connection, response)`` with
@@ -485,8 +492,7 @@ class Router:
         )
 
     def settle_forward(
-        self, replica: Replica, conn: http.client.HTTPConnection,
-        ok: bool,
+        self, replica: Replica, conn: Connection, ok: bool,
     ) -> None:
         """Return a forwarded request's connection after the relay.
 
@@ -708,7 +714,7 @@ class _RouterHandler(_ServeHandler):
             self._admin_route(router, path, query)
             return
         if path != "/v1/predict":
-            self._send_error(404, f"unknown path {self.path!r}", close=True)
+            self._send_error(404, f"unknown path {self.path!r}")
             return
         trace = router.tracer.start("router.request")
         self._trace = trace
@@ -763,27 +769,18 @@ class _RouterHandler(_ServeHandler):
     def _proxy_predict(
         self, router: Router, query: str, trace, route: "dict | None" = None
     ) -> "str | None":
-        try:
-            length = int(self.headers.get("Content-Length", ""))
-        except ValueError:
-            self._send_error(411, "Content-Length is required", close=True)
-            return None
-        if length <= 0:
-            self._send_error(400, "missing request body", close=length < 0)
-            return None
-        body = self._read_exact(length)
+        body = self._read_predict_body()
         if body is None:
-            return None  # client hung up mid-body
+            return None
         ctype = (self.headers.get("Content-Type") or "").partition(";")[0]
         model = self._peek_model(ctype.strip().lower(), body, query)
         if trace is not None:
-            trace.set_tags(model=model, nbytes=length)
+            trace.set_tags(model=model, nbytes=len(body))
         headers = {
             name: value
             for name, value in self.headers.items()
             if name.lower() not in _HOP_HEADERS
         }
-        headers["Content-Length"] = str(length)
         if trace is not None:
             # the replica adopts this id: one trace id from the client
             # through the router hop to the replica's shard spans
@@ -818,7 +815,7 @@ class _RouterHandler(_ServeHandler):
             router.settle_forward(replica, conn, ok)
         return model
 
-    def _peek_model(self, ctype: str, body: bytes, query: str) -> "str | None":
+    def _peek_model(self, ctype: str, body, query: str) -> "str | None":
         """The model name a request routes on, from whichever encoding
         it rides (bad bodies route round-robin and let the replica
         produce the authoritative 400)."""
@@ -837,51 +834,35 @@ class _RouterHandler(_ServeHandler):
                 model = meta.get("model")
                 return None if model is None else str(model)
             if ctype.endswith("json") or not ctype:
-                model = json.loads(body).get("model")
+                model = json.loads(bytes(body)).get("model")
                 return None if model is None else str(model)
         except Exception:
             return None
         return None
 
-    def _relay(self, replica: Replica, resp) -> bool:
+    def _relay(self, replica: Replica, resp: Response) -> bool:
         """Copy one upstream response to the client, preserving the
         status, the replica's headers (trace id, Retry-After, replica
-        id included), and chunked framing for streamed responses.
-        Returns False when either side died mid-relay."""
+        id included), and chunked framing for streamed responses - each
+        chunk is relayed as soon as it arrives.  Returns False when
+        either side died mid-relay."""
         self._last_status = resp.status
-        chunked = (resp.headers.get("Transfer-Encoding") or "").lower() == "chunked"
+        headers = [
+            (name, value) for name, value in resp.headers.items()
+            if name.lower() not in _RELAY_DROP
+        ]
+        if resp.headers.get(REPLICA_HEADER) is None:
+            headers.append((REPLICA_HEADER, replica.replica_id or replica.url))
         try:
-            self.send_response(resp.status)
-            relayed = set()
-            for name, value in resp.headers.items():
-                if name.lower() in _HOP_HEADERS:
-                    continue
-                self.send_header(name, value)
-                relayed.add(name.lower())
-            if REPLICA_HEADER.lower() not in relayed:
-                self.send_header(
-                    REPLICA_HEADER, replica.replica_id or replica.url
-                )
-            if chunked:
-                self.send_header("Transfer-Encoding", "chunked")
-                self.end_headers()
-                while True:
-                    chunk = resp.read(64 * 1024)
-                    if not chunk:
-                        break
-                    self.wfile.write(
-                        f"{len(chunk):X}\r\n".encode() + chunk + b"\r\n"
-                    )
-                    self.wfile.flush()
-                self.wfile.write(b"0\r\n\r\n")
+            if resp.chunked:
+                self.start_chunked(resp.status, headers)
+                for chunk in iter(resp.read_chunk, None):
+                    self.send_chunk(chunk)
+                self.end_chunked()
             else:
-                payload = resp.read()
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
+                self.send_message(resp.status, headers, resp.read())
             return True
-        except (BrokenPipeError, ConnectionResetError, OSError,
-                http.client.HTTPException):
+        except OSError:
             self.close_connection = True
             return False
 
@@ -897,14 +878,13 @@ class RouterHTTPServer(ServeHTTPServer):
         host: str = "127.0.0.1",
         port: int = 0,
         request_timeout_s: float = 120.0,
-        verbose: bool = False,
     ) -> None:
         self.router = router
         # ServeHTTPServer wiring: the inherited handler's GET routes
         # read .service; the router provides that surface
         super().__init__(
             router, host=host, port=port,
-            request_timeout_s=request_timeout_s, verbose=verbose,
+            request_timeout_s=request_timeout_s,
             handler_class=_RouterHandler,
         )
 
@@ -913,10 +893,9 @@ def serve_router(
     router: Router,
     host: str = "127.0.0.1",
     port: int = 0,
-    verbose: bool = False,
 ) -> "tuple[RouterHTTPServer, threading.Thread]":
     """Start a background router front-end; returns (server, thread)."""
-    server = RouterHTTPServer(router, host=host, port=port, verbose=verbose)
+    server = RouterHTTPServer(router, host=host, port=port)
     thread = threading.Thread(
         target=server.serve_forever, name="sconna-router", daemon=True
     )
@@ -959,17 +938,15 @@ def spawn_replicas(
     for url in urls:
         parsed = urllib.parse.urlsplit(url)
         while True:
+            conn = Connection(parsed.hostname, parsed.port, timeout=2.0)
             try:
-                conn = http.client.HTTPConnection(
-                    parsed.hostname, parsed.port, timeout=2.0
-                )
                 conn.request("GET", "/healthz")
-                ok = conn.getresponse().status == 200
-                conn.close()
-                if ok:
+                if conn.getresponse().status == 200:
                     break
             except OSError:
                 pass
+            finally:
+                conn.close()
             if time.monotonic() >= deadline:
                 for proc in processes:
                     proc.terminate()
@@ -1019,7 +996,6 @@ def main(argv: "list[str] | None" = None) -> None:
     parser.add_argument("--trace-sample-rate", type=float, default=1.0 / 16)
     parser.add_argument("--log-requests", action="store_true",
                         help="one JSON access-log line per routed request")
-    parser.add_argument("--verbose", action="store_true")
     parser.add_argument("server_args", nargs="*",
                         help="after '--': extra args for spawned replicas "
                              "(e.g. -- --backend process --shards 1)")
@@ -1052,9 +1028,7 @@ def main(argv: "list[str] | None" = None) -> None:
         tracer=Tracer(TracePolicy(sample_rate=args.trace_sample_rate)),
         request_log=request_log,
     )
-    server, _ = serve_router(
-        router, host=args.host, port=args.port, verbose=args.verbose
-    )
+    server, _ = serve_router(router, host=args.host, port=args.port)
     stop = threading.Event()
     triggered: "list[int]" = []
 

@@ -22,11 +22,11 @@ Timestamps are ``time.monotonic()`` unless the caller supplies ``now``
 
 from __future__ import annotations
 
-import http.client
 import time
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
+from repro.serve.http11 import Connection
 from repro.serve.telemetry.prometheus import parse_exposition
 
 from .store import TimeSeriesStore
@@ -57,16 +57,16 @@ class Collector:
         self.store = store
         self.timeout_s = timeout_s
         self.logger = logger
-        self._conns: "dict[str, http.client.HTTPConnection]" = {}
+        self._conns: "dict[str, Connection]" = {}
         self._scrapes = 0
         self._failures = 0
 
     # -- transport -------------------------------------------------------
-    def _connection(self, target: ScrapeTarget) -> http.client.HTTPConnection:
+    def _connection(self, target: ScrapeTarget) -> Connection:
         conn = self._conns.get(target.name)
         if conn is None:
             parts = urlsplit(target.url)
-            conn = http.client.HTTPConnection(
+            conn = Connection(
                 parts.hostname, parts.port or 80, timeout=self.timeout_s
             )
             self._conns[target.name] = conn

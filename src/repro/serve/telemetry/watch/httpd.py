@@ -1,8 +1,9 @@
 """HTTP surface of the watchtower.
 
-A small stdlib threading server, deliberately separate from the
-serving handler (:mod:`repro.serve.httpd` is service-shaped; the
-watchtower serves documents, not inference)::
+A thread-per-connection server on the shared HTTP/1.1 codec
+(:mod:`repro.serve.http11`), deliberately separate from the serving
+handler (:mod:`repro.serve.httpd` is service-shaped; the watchtower
+serves documents, not inference)::
 
     GET /healthz             -> liveness + tick/collector stats
     GET /v1/watch/alerts     -> active + resolved alerts, remediations
@@ -20,25 +21,18 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
+
+from repro.serve.http11 import HTTPServer, RequestHandler
 
 from .watchtower import Watchtower
 
 
-class _WatchHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _WatchHandler(RequestHandler):
     server: "WatchHTTPServer"
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # the structured logger is the only log surface
-
     def _send(self, payload: bytes, content_type: str, status: int = 200) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        self.send_message(status, [("Content-Type", content_type)], payload)
 
     def _send_json(self, doc: dict, status: int = 200) -> None:
         self._send(
@@ -85,19 +79,11 @@ class _WatchHandler(BaseHTTPRequestHandler):
             )
 
 
-class WatchHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
+class WatchHTTPServer(HTTPServer):
     def __init__(self, tower: Watchtower, host: str = "127.0.0.1",
                  port: int = 0) -> None:
         self.tower = tower
         super().__init__((host, port), _WatchHandler)
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
 
 
 def serve_watch(

@@ -25,12 +25,13 @@ the ``/v1/watch/alerts`` document includes.
 
 from __future__ import annotations
 
-import http.client
 import json
 import threading
 import time
 from collections import deque
 from urllib.parse import quote, urlsplit
+
+from repro.serve.http11 import Connection
 
 from .collector import Collector, ScrapeTarget
 from .engine import SLOEngine
@@ -45,9 +46,7 @@ def discover_replicas(router_url: str, timeout_s: float = 5.0) -> "list[ScrapeTa
     replica, named by its learned replica id (falling back to its URL).
     """
     parts = urlsplit(router_url)
-    conn = http.client.HTTPConnection(
-        parts.hostname, parts.port or 80, timeout=timeout_s
-    )
+    conn = Connection(parts.hostname, parts.port or 80, timeout=timeout_s)
     try:
         conn.request("GET", "/v1/router")
         resp = conn.getresponse()
@@ -180,11 +179,9 @@ class Watchtower:
                 record["error"] = body[:200]
         self._log_remediation(record)
 
-    def _router_conn(self) -> http.client.HTTPConnection:
+    def _router_conn(self) -> Connection:
         parts = urlsplit(self.router_url)
-        return http.client.HTTPConnection(
-            parts.hostname, parts.port or 80, timeout=self.timeout_s
-        )
+        return Connection(parts.hostname, parts.port or 80, timeout=self.timeout_s)
 
     def _router_post(self, path: str) -> "tuple[int, str]":
         conn = self._router_conn()

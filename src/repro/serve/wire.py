@@ -63,6 +63,17 @@ CONTENT_TYPE_JSON = "application/json"
 CONTENT_TYPE_NPY = "application/x-npy"
 CONTENT_TYPE_FRAME = "application/x-sconna-frame"
 
+#: response header carrying the server's trace id for a request (every
+#: status, 429s included)
+TRACE_ID_HEADER = "X-Sconna-Trace-Id"
+#: request header carrying an upstream (router) trace id: a sampled
+#: replica trace adopts it, so the router hop and the replica's span
+#: tree share one id end to end
+PARENT_TRACE_HEADER = "X-Sconna-Parent-Trace"
+#: response header naming the replica that answered (set by replicas
+#: started with a replica id, stamped by the router when relaying)
+REPLICA_HEADER = "X-Sconna-Replica"
+
 MAGIC = b"SCNF"
 WIRE_VERSION = 1
 
@@ -263,9 +274,10 @@ def read_frame(read, max_bytes: int = DEFAULT_MAX_BYTES):
     Returns ``(meta, tensors)``, or ``None`` on clean end-of-stream
     (zero bytes available where a header would start).  A stream that
     ends *inside* a frame raises :class:`WireError`.  This is how the
-    client walks a chunked streaming response: ``http.client`` already
-    reassembles the transfer chunks, and the frame's ``body_len`` field
-    restores message boundaries.
+    client walks a chunked streaming response: the HTTP codec's
+    ``Response.read`` strips the transfer framing and returns each chunk
+    as soon as it arrives, and the frame's ``body_len`` field restores
+    message boundaries.
     """
     header = _read_exact(read, _HEADER.size, allow_empty=True)
     if header is None:

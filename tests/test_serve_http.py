@@ -9,6 +9,9 @@ errors that abort an unread body).
 
 import http.client
 import json
+import socket
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,10 +25,14 @@ from repro.serve import (
     AdmissionRejected,
     BatchingPolicy,
     ClientError,
+    Router,
+    RouterPolicy,
     SconnaClient,
     SconnaService,
     serve_http,
+    serve_router,
 )
+from repro.serve.http11 import Connection
 from repro.serve.httpd import negotiate_response_type, parse_predict_fields
 from repro.serve.wire import CONTENT_TYPE_FRAME, CONTENT_TYPE_JSON, CONTENT_TYPE_NPY
 from repro.utils.rng import make_rng
@@ -375,3 +382,215 @@ class TestNegotiationHelpers:
         assert parse_predict_fields({})["model"] is None
         with pytest.raises(ValueError):
             parse_predict_fields({"ideal": "maybe"})
+
+
+# ---------------------------------------------------------------------------
+# HTTP/1.1 framing over raw sockets: the replica and the router front-end
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def router_front(served):
+    """A router fronting the ``served`` replica."""
+    _, server = served
+    router = Router([server.url], policy=RouterPolicy(health_interval_s=30.0),
+                    probe_in_background=False)
+    router.probe_now()
+    front, _ = serve_router(router)
+    yield front
+    front.shutdown()
+    router.close()
+
+
+@pytest.fixture(params=["replica", "router"])
+def endpoint(request, served, router_front):
+    """The (host, port) of the replica, or of the router in front of it."""
+    _, server = served
+    front = server if request.param == "replica" else router_front
+    return front.server_address[:2]
+
+
+def _connect(address) -> socket.socket:
+    return socket.create_connection(address, timeout=10.0)
+
+
+def _read_response(fh) -> "tuple[int, list[tuple[str, str]], bytes] | None":
+    """One response off a raw socket: (status, lowercased fields, body)."""
+    status_line = fh.readline()
+    if not status_line:
+        return None
+    status = int(status_line.split(b" ")[1])
+    fields = []
+    while True:
+        line = fh.readline().decode("latin-1").rstrip("\r\n")
+        if not line:
+            break
+        name, _, value = line.partition(":")
+        fields.append((name.strip().lower(), value.strip()))
+    body = fh.read(int(dict(fields).get("content-length", 0)))
+    return status, fields, body
+
+
+def _predict_body(ds) -> bytes:
+    return json.dumps({"model": "tiny", "ideal": True,
+                       "image": ds.images[0].tolist()}).encode()
+
+
+class TestHTTP11Framing:
+    @pytest.mark.parametrize("framing", [
+        "Content-Length: {n}\r\nTransfer-Encoding: chunked",
+        "Content-Length: {n}\r\nContent-Length: {m}",
+        "Content-Length: +{n}",
+        "Content-Length : {n}",
+    ], ids=["length-and-chunked", "two-lengths", "signed-length",
+            "space-before-colon"])
+    def test_smuggling_shapes_are_refused(self, setup, endpoint, framing):
+        """Each shape that lets two parsers disagree on where the body
+        ends is answered 400 and the connection is closed."""
+        _, ds = setup
+        body = _predict_body(ds)
+        fields = framing.format(n=len(body), m=len(body) + 1)
+        with _connect(endpoint) as sock, sock.makefile("rb") as fh:
+            sock.sendall(
+                b"POST /v1/predict HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\n"
+                + fields.encode() + b"\r\n\r\n" + body
+            )
+            status, headers, _ = _read_response(fh)
+            assert status == 400
+            assert ("connection", "close") in headers
+            assert fh.read() == b""          # and the server hung up
+
+    def test_more_than_100_headers_is_431(self, served):
+        _, server = served
+        extra = b"".join(b"X-Filler-%d: v\r\n" % i for i in range(101))
+        with _connect(server.server_address[:2]) as sock, \
+                sock.makefile("rb") as fh:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n" + extra
+                         + b"\r\n")
+            status, _, _ = _read_response(fh)
+        assert status == 431
+
+    def test_expect_100_continue(self, setup, endpoint):
+        """The interim 100 arrives before the body is sent; the body
+        then gets its 200 on the same connection."""
+        _, ds = setup
+        body = _predict_body(ds)
+        with _connect(endpoint) as sock, sock.makefile("rb") as fh:
+            sock.sendall(
+                b"POST /v1/predict HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Expect: 100-continue\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            status, _, _ = _read_response(fh)
+            assert status == 100
+            sock.sendall(body)
+            status, _, payload = _read_response(fh)
+        assert status == 200
+        assert json.loads(payload)["model"] == "tiny"
+
+    def test_http10_is_answered_then_closed(self, served):
+        _, server = served
+        with _connect(server.server_address[:2]) as sock, \
+                sock.makefile("rb") as fh:
+            sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            status, _, body = _read_response(fh)
+            assert status == 200
+            assert json.loads(body) == {"status": "ok"}
+            assert fh.read() == b""
+
+    def test_pipelined_requests_are_answered_in_order(self, served):
+        _, server = served
+        with _connect(server.server_address[:2]) as sock, \
+                sock.makefile("rb") as fh:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+                         b"GET /v1/models HTTP/1.1\r\nHost: x\r\n\r\n")
+            first = _read_response(fh)
+            second = _read_response(fh)
+        assert first[0] == second[0] == 200
+        assert json.loads(first[2]) == {"status": "ok"}
+        assert json.loads(second[2]) == {"models": ["tiny"]}
+
+    def test_dripped_head_does_not_stall_other_connections(self, served):
+        """A head sent a few bytes at a time over ~1 s is answered, and a
+        second connection is served while it drips."""
+        _, server = served
+        address = server.server_address[:2]
+        head = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        answers = {}
+
+        def drip() -> None:
+            with _connect(address) as sock, sock.makefile("rb") as fh:
+                for i in range(0, len(head), 4):
+                    sock.sendall(head[i:i + 4])
+                    time.sleep(1.0 / (len(head) / 4))
+                answers["drip"] = (_read_response(fh), time.monotonic())
+
+        dripper = threading.Thread(target=drip)
+        dripper.start()
+        time.sleep(0.2)
+        with _connect(address) as sock, sock.makefile("rb") as fh:
+            sock.sendall(b"GET /v1/models HTTP/1.1\r\nHost: x\r\n\r\n")
+            other = _read_response(fh)
+            other_done = time.monotonic()
+        dripper.join(timeout=30.0)
+        assert not dripper.is_alive()
+        assert other[0] == 200
+        (status, _, _), drip_done = answers["drip"]
+        assert status == 200
+        assert other_done < drip_done
+
+
+def _answer_once(payload: bytes):
+    """A listener that reads one request head, answers it with the raw
+    ``payload`` and hangs up; returns its (host, port)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve() -> None:
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(payload)
+
+    threading.Thread(target=serve, daemon=True).start()
+    return listener.getsockname()[:2]
+
+
+class TestClientCodec:
+    def test_interim_answer_skipped_and_chunks_read_one_at_a_time(self):
+        address = _answer_once(
+            b"HTTP/1.1 100 Continue\r\n\r\n"
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"3;ext=1\r\nabc\r\n2\r\nde\r\n0\r\nX-Trailer: t\r\n\r\n"
+        )
+        conn = Connection(*address, timeout=10.0)
+        try:
+            conn.request("GET", "/")
+            resp = conn.getresponse()
+            assert resp.status == 200 and resp.chunked
+            assert resp.read(2) == b"ab"
+            assert resp.read(10) == b"c"      # a read never spans chunks
+            assert resp.read() == b"de"
+            assert resp.done
+        finally:
+            conn.close()
+
+    def test_close_delimited_body(self):
+        address = _answer_once(b"HTTP/1.0 200 OK\r\n\r\nhello")
+        conn = Connection(*address, timeout=10.0)
+        try:
+            conn.request("GET", "/")
+            assert conn.getresponse().read() == b"hello"
+            assert conn.sock is None          # the body ended the connection
+        finally:
+            conn.close()
+
+    def test_eof_before_status_line_is_a_reset(self):
+        conn = Connection(*_answer_once(b""), timeout=10.0)
+        try:
+            conn.request("GET", "/")
+            with pytest.raises(ConnectionResetError):
+                conn.getresponse()
+        finally:
+            conn.close()

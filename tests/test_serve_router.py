@@ -184,6 +184,80 @@ class TestRoutedEquivalence:
         assert "routed_total" in snap["router"]
 
 
+class _GatedModel:
+    """A model whose every forward after the first waits for
+    ``release`` (at most 2 s): the first image's answer exists while
+    the later ones are still held back."""
+
+    def __init__(self, qmodel) -> None:
+        self.qmodel = qmodel
+        self.release = threading.Event()
+        self.computed = 0
+
+    def forward(self, images, **kwargs):
+        if self.computed:
+            self.release.wait(2.0)
+        logits = self.qmodel.forward(images, **kwargs)
+        self.computed += 1
+        return logits
+
+
+class TestRelayFraming:
+    def test_streamed_frames_leave_the_router_as_they_arrive(self, setup):
+        """Through the router, the first frame of an unseeded stream
+        reaches the client before the last image has been computed."""
+        qm, ds = setup
+        gated = _GatedModel(qm)
+        svc = SconnaService(policy=BatchingPolicy(max_batch_size=1),
+                            n_workers=1)
+        svc.add_model("gated", gated)
+        server, _ = serve_http(svc)
+        router = _make_router([server.url])
+        front, _ = serve_router(router)
+        try:
+            with SconnaClient(front.url) as client:
+                frames = client.predict_stream(ds.images[:3], model="gated",
+                                               ideal=True)
+                first = next(frames)
+                computed_at_first = gated.computed
+                gated.release.set()
+                rest = list(frames)
+            assert computed_at_first < 3
+            assert [p.index for p in [first, *rest]] == [0, 1, 2]
+        finally:
+            gated.release.set()
+            front.shutdown()
+            router.close()
+            server.shutdown()
+            svc.close()
+
+    def test_routed_response_has_one_date(self, setup, routed):
+        """The router sends its own Date once and drops the replica's
+        Date and Server."""
+        _, ds = setup
+        _, front = routed
+        body = json.dumps({"model": "tiny", "seed": 3,
+                           "image": ds.images[0].tolist()}).encode()
+        with socket.create_connection(front.server_address[:2],
+                                      timeout=10.0) as sock, \
+                sock.makefile("rb") as fh:
+            sock.sendall(
+                b"POST /v1/predict HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body) + body
+            )
+            assert fh.readline().startswith(b"HTTP/1.1 200 ")
+            names = []
+            while True:
+                line = fh.readline().rstrip(b"\r\n")
+                if not line:
+                    break
+                names.append(line.partition(b":")[0].strip().lower())
+        assert names.count(b"date") == 1
+        assert names.count(b"server") <= 1
+        assert b"x-sconna-replica" in names
+
+
 class TestConsistentRouting:
     def test_lanes_are_stable_and_bounded(self, routed):
         router, _ = routed
