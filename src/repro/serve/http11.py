@@ -5,12 +5,13 @@ The replica (:mod:`repro.serve.httpd`), the router
 and the watchtower all frame their messages here, so the wire rules live
 in one place:
 
-* **Heads** are parsed from one per-connection buffer: a message head is
-  located by its blank line, decoded once, and split into lines matched
-  against the request-line, status-line and field grammars.  Limits: a
-  request line over 64 KiB is answered 414, a header line over 64 KiB
-  or more than 100 header lines 431.  Empty lines before a request line
-  are skipped.
+* **Heads** are parsed from one per-connection buffer: line ends are
+  found as bytes arrive (each byte searched once, the limits checked on
+  the way), and the head is decoded once and its lines matched against
+  the request-line, status-line and field grammars, none of which
+  backtracks.  Limits: a request line over 64 KiB is answered 414, a
+  header line over 64 KiB or more than 100 header lines 431.  Empty
+  lines before a request line are skipped.
 * **Request smuggling** shapes are refused with ``400`` and
   ``Connection: close``: a request carrying both ``Content-Length`` and
   ``Transfer-Encoding``, differing ``Content-Length`` values, a
@@ -63,8 +64,10 @@ _TOKEN = r"[!#$%&'*+.^_`|~0-9A-Za-z-]+"
 _TEXT = r"[^\r\n\x00]"
 _REQUEST_LINE = re.compile(rf"({_TOKEN}) ([^\s\x00]+) (HTTP/[0-9]\.[0-9])")
 _STATUS_LINE = re.compile(rf"(HTTP/[0-9]\.[0-9]) ([0-9]{{3}})(?: {_TEXT}*)?")
-#: a field: token name, colon, value (no whitespace before the colon)
-_FIELD = re.compile(rf"({_TOKEN}):[ \t]*({_TEXT}*?)[ \t]*")
+#: a field: token name, colon, value (no whitespace before the colon);
+#: the value's surrounding blanks are stripped after the match, which
+#: keeps the match linear in the line's length
+_FIELD = re.compile(rf"({_TOKEN}):({_TEXT}*)")
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
@@ -125,17 +128,21 @@ def _digits(value: str) -> "int | None":
 
 
 def _parse_fields(lines: "list[str]") -> Headers:
-    if len(lines) > MAX_HEADERS:
-        raise _Refused(431, f"more than {MAX_HEADERS} header lines")
     fields = []
     for line in lines:
-        if len(line) > MAX_LINE:
-            raise _Refused(431, f"header line over {MAX_LINE} bytes")
         match = _FIELD.fullmatch(line)
         if match is None:
             raise _Refused(400, f"malformed header line {line[:80]!r}")
-        fields.append(match.groups())
+        name, value = match.groups()
+        fields.append((name, value.strip(" \t")))
     return Headers(fields)
+
+
+def _overlong(n_lines: int) -> _Refused:
+    """The refusal of a line over ``MAX_LINE`` after ``n_lines`` lines."""
+    if n_lines:
+        return _Refused(431, f"header line over {MAX_LINE} bytes")
+    return _Refused(414, f"first line over {MAX_LINE} bytes")
 
 
 class _Stream:
@@ -154,25 +161,36 @@ class _Stream:
 
     def head(self) -> "list[str] | None":
         """The next message head as lines (first line first), or None
-        when the peer closed the connection before completing one."""
+        when the peer closed the connection before completing one.
+
+        Limits are checked as bytes arrive, and each byte is searched
+        once: ``start`` is where the line being received begins and
+        ``scan`` how far it has been searched."""
         buf = self.buf
-        start = 0
+        start = scan = n_lines = 0
         while True:
-            if buf.startswith(b"\r\n"):
-                del buf[:2]         # empty lines before a message
-                start = 0
+            end = buf.find(b"\r\n", scan)
+            if end < 0:
+                if len(buf) - start > MAX_LINE:
+                    raise _overlong(n_lines)
+                scan = max(len(buf) - 1, start)
+                if not self._recv():
+                    return None
                 continue
-            end = buf.find(b"\r\n\r\n", start)
-            if end >= 0:
-                break
-            _check_partial_head(buf)
-            start = max(len(buf) - 3, 0)
-            if not self._recv():
-                return None
-        lines = buf[:end].decode("latin-1").split("\r\n")
-        del buf[: end + 4]
-        if len(lines[0]) > MAX_LINE:
-            raise _Refused(414, f"first line over {MAX_LINE} bytes")
+            if end - start > MAX_LINE:
+                raise _overlong(n_lines)
+            if end == start:
+                if n_lines:
+                    break           # the blank line that ends the head
+                del buf[:2]         # empty lines before a message
+                scan = 0
+                continue
+            n_lines += 1
+            if n_lines > MAX_HEADERS + 1:
+                raise _Refused(431, f"more than {MAX_HEADERS} header lines")
+            start = scan = end + 2
+        lines = buf[: start - 2].decode("latin-1").split("\r\n")
+        del buf[: start + 2]
         return lines
 
     def fill(self, view: memoryview) -> bool:
@@ -225,19 +243,6 @@ class _Stream:
             start = max(len(buf) - 1, 0)
             if not self._recv():
                 raise ProtocolError("connection closed mid-body")
-
-
-def _check_partial_head(buf: bytearray) -> None:
-    """Refuse a head that already breaks a limit before it is complete."""
-    first = buf.find(b"\r\n")
-    if first < 0:
-        if len(buf) > MAX_LINE:
-            raise _Refused(414, f"first line over {MAX_LINE} bytes")
-        return
-    if len(buf) - buf.rfind(b"\r\n") - 2 > MAX_LINE:
-        raise _Refused(431, f"header line over {MAX_LINE} bytes")
-    if buf.count(b"\r\n") > MAX_HEADERS + 1:
-        raise _Refused(431, f"more than {MAX_HEADERS} header lines")
 
 
 # -- server ------------------------------------------------------------------
@@ -417,7 +422,7 @@ class Response:
     ) -> None:
         self.status = status
         self.headers = headers
-        #: the body arrives in chunks (see :meth:`read_chunk`)
+        #: the body arrives in chunks
         self.chunked = chunked
         #: every body byte has been read
         self.done = False
@@ -444,13 +449,12 @@ class Response:
             return b""
         if self.chunked:
             if amt is None:
-                return b"".join(iter(self.read_chunk, None))
+                return b"".join(iter(lambda: self.read(RECV_BYTES), b""))
             if not self._chunk_left and not self._next_chunk():
                 return b""
-            data = self._stream.some(min(amt, self._chunk_left))
-            if not data:
-                raise ProtocolError("connection closed mid-chunk")
-            self._chunk_left -= len(data)
+            n = min(amt, self._chunk_left)
+            data = self._stream.exact(n)
+            self._chunk_left -= n
             return data
         if self._left is None:     # delimited by the connection closing
             if amt is None:
@@ -468,17 +472,6 @@ class Response:
         self._left -= n
         if not self._left:
             self._finish()
-        return data
-
-    def read_chunk(self) -> "bytes | None":
-        """The rest of the current chunk, or the next whole chunk, as
-        soon as it has arrived; None after the last chunk."""
-        if self.done:
-            return None
-        if not self._chunk_left and not self._next_chunk():
-            return None
-        data = self._stream.exact(self._chunk_left)
-        self._chunk_left = 0
         return data
 
     def _next_chunk(self) -> bool:

@@ -96,7 +96,7 @@ import time
 import urllib.parse
 from dataclasses import dataclass
 
-from repro.serve.http11 import Connection, Response
+from repro.serve.http11 import RECV_BYTES, Connection, Response
 from repro.serve.httpd import _ServeHandler, ServeHTTPServer
 from repro.serve.metrics import ServeMetrics
 from repro.serve.telemetry import Tracer, TracePolicy
@@ -856,7 +856,7 @@ class _RouterHandler(_ServeHandler):
         try:
             if resp.chunked:
                 self.start_chunked(resp.status, headers)
-                for chunk in iter(resp.read_chunk, None):
+                for chunk in iter(lambda: resp.read(RECV_BYTES), b""):
                     self.send_chunk(chunk)
                 self.end_chunked()
             else:

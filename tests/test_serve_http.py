@@ -32,7 +32,7 @@ from repro.serve import (
     serve_http,
     serve_router,
 )
-from repro.serve.http11 import Connection
+from repro.serve.http11 import MAX_LINE, Connection, _Refused, _Stream
 from repro.serve.httpd import negotiate_response_type, parse_predict_fields
 from repro.serve.wire import CONTENT_TYPE_FRAME, CONTENT_TYPE_JSON, CONTENT_TYPE_NPY
 from repro.utils.rng import make_rng
@@ -539,6 +539,79 @@ class TestHTTP11Framing:
         (status, _, _), drip_done = answers["drip"]
         assert status == 200
         assert other_done < drip_done
+
+    def test_long_blank_run_in_a_field_is_answered_promptly(
+            self, setup, endpoint):
+        """A field value with a long run of blanks before its last
+        character is parsed in time linear in its length: the request is
+        answered within a second or two (through the router it is parsed
+        twice), and a second connection is served meanwhile."""
+        _, ds = setup
+        body = _predict_body(ds)
+        t0 = time.monotonic()
+        with _connect(endpoint) as padded, padded.makefile("rb") as fh:
+            padded.sendall(
+                b"POST /v1/predict HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\n"
+                b"X-Pad: a" + b" " * 60000 + b"b\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body) + body
+            )
+            with _connect(endpoint) as other, other.makefile("rb") as ofh:
+                other.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                assert _read_response(ofh)[0] == 200
+            status, _, payload = _read_response(fh)
+        assert time.monotonic() - t0 < 2.0
+        assert status == 200
+        assert json.loads(payload)["model"] == "tiny"
+
+
+class _Segments:
+    """A socket stand-in whose ``recv`` hands out ``data`` a few bytes at
+    a time, then end-of-file."""
+
+    def __init__(self, data: bytes, size: int) -> None:
+        self._view = memoryview(data)
+        self._size = size
+        self._at = 0
+
+    def recv(self, n: int) -> bytes:
+        piece = self._view[self._at:self._at + min(n, self._size)]
+        self._at += len(piece)
+        return bytes(piece)
+
+
+class TestHeadScan:
+    def test_head_at_the_limits_in_small_segments_is_scanned_once(self):
+        """A 6 MB head - 100 fields of 60 KB - arriving in 1 KiB segments
+        is parsed in time linear in its size, not in size x segments."""
+        fields = b"".join(b"X-F%d: %s\r\n" % (i, b"v" * 60000)
+                          for i in range(99))
+        head = b"GET / HTTP/1.1\r\nHost: x\r\n" + fields + b"\r\n"
+        t0 = time.monotonic()
+        lines = _Stream(_Segments(head, 1024)).head()
+        assert time.monotonic() - t0 < 2.0
+        assert len(lines) == 101 and lines[-1].endswith("v" * 60000)
+
+    @pytest.mark.parametrize("head, status", [
+        (b"GET /" + b"a" * MAX_LINE, 414),
+        (b"GET / HTTP/1.1\r\nX-Big: " + b"v" * MAX_LINE, 431),
+        (b"GET / HTTP/1.1\r\n" + b"X-F: v\r\n" * 101, 431),
+    ], ids=["first-line", "header-line", "header-count"])
+    def test_limits_refuse_before_the_head_ends(self, head, status):
+        """A limit is enforced while the head is still arriving (these
+        heads never end: the stand-in's end-of-file would otherwise read
+        as a hang-up)."""
+        with pytest.raises(_Refused) as info:
+            _Stream(_Segments(head, 1024)).head()
+        assert info.value.status == status
+
+    def test_empty_lines_before_a_head_are_skipped(self):
+        stream = _Stream(_Segments(
+            b"\r\n\r\nGET / HTTP/1.1\r\nHost: x\r\n\r\nGET /next", 5,
+        ))
+        assert stream.head() == ["GET / HTTP/1.1", "Host: x"]
+        rest = bytes(stream.buf)            # what arrived of the next head
+        assert rest and b"GET /next".startswith(rest)
 
 
 def _answer_once(payload: bytes):
