@@ -2,8 +2,13 @@
 
 Heavy simulation passes are computed once per session and shared across
 the benchmark modules; every harness's table is printed with capture
-disabled so `pytest benchmarks/ --benchmark-only` always shows the
-regenerated paper artifacts.
+disabled, so naming the harness files shows the regenerated paper
+artifacts::
+
+    python -m pytest benchmarks/bench_*.py --benchmark-disable -s
+
+Name the files: pytest's default ``python_files`` pattern does not match
+``bench_*.py``, so ``pytest benchmarks/`` collects nothing.
 """
 
 from __future__ import annotations

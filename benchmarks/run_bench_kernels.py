@@ -80,6 +80,7 @@ def main(smoke: bool = False, json_out: "Path | None" = None) -> None:
     group = 704  # vdpe_size 176 x 4 accumulation passes
     engine = SconnaEngine()
     plan = compile_layer_plan(w, 8, group)
+    kind = engine.remainder_kernel(plan, p)
     macs = b * l * q * p
     t_ref = best_time(lambda: sconna_matmul_reference(cols, w, 8, group), 3)
     t_vec = best_time(lambda: engine.matmul(plan, cols))
@@ -90,7 +91,7 @@ def main(smoke: bool = False, json_out: "Path | None" = None) -> None:
     record(
         "sconna_conv64x3x3_batch8_vectorized", t_vec, macs, "MAC/s",
         reference_s=t_ref,
-        note="native kernel" if native.native_available() else "numpy fallback",
+        note=f"{kind} count kernel",
     )
     eng_np = SconnaEngine(use_native=False)
     t_np = best_time(lambda: eng_np.matmul(plan, cols), 3)
@@ -165,6 +166,12 @@ def main(smoke: bool = False, json_out: "Path | None" = None) -> None:
 
     calib = rng.random((32, *IMAGE_SHAPE))
     qm = QuantizedModel.from_trained(build_proxy("mnet_proxy"), calib)
+
+    def kernels():
+        # the count kernels the rule picked for the sconna stages
+        picks = sorted({pick["remainder"] for pick in qm.autotune.values()})
+        return "+".join(picks) + " count kernels"
+
     x = rng.random((8, *IMAGE_SHAPE))
     e2e_reps = 30 if smoke else 60
     for mode in ("int8", "sconna"):
@@ -182,7 +189,7 @@ def main(smoke: bool = False, json_out: "Path | None" = None) -> None:
         record(
             f"mnet_proxy_e2e_batch8_{mode}_fused", t_fus, x.shape[0], "img/s",
             note="whole-network fused plan"
-                 + (", ideal ADC" if mode == "sconna" else ""),
+                 + (f", ideal ADC, {kernels()}" if mode == "sconna" else ""),
         )
 
     def served(batch):
@@ -209,7 +216,8 @@ def main(smoke: bool = False, json_out: "Path | None" = None) -> None:
         record(
             f"mnet_proxy_e2e_batch{batch}_sconna_noisy_fused", t_fus, batch,
             "img/s",
-            note="whole-network fused plan, seeded per-request ADC noise",
+            note="whole-network fused plan, seeded per-request ADC noise, "
+                 + kernels(),
         )
 
     payload = {

@@ -6,9 +6,18 @@ sums ``sum_q floor(a_q * |w_lq| / 2**B)``, sign-split into the positive
 and negative PCA accumulations.  The seed implementation walked output
 channels in a Python loop (kept below as
 :func:`sconna_matmul_reference`); this module replaces it with a fully
-vectorized engine built on an exact algebraic decomposition.
+vectorized engine.
 
-**The floor-decomposition identity.**  For non-negative integers,
+**Native floor sums.**  For ``B <= 8`` the sums come from one integer
+pass per psum group: the C kernels of :mod:`repro.utils.native` floor
+each product with a 16-bit multiply-high and write the sign-split
+counts as float64 straight into the buffer the ADC draw reads.  One
+rule, :meth:`SconnaEngine.remainder_kernel`, picks the kernel from the
+output-pixel count.
+
+**The NumPy fallback: the floor-decomposition identity.**  Without the
+native library (or for ``B > 8``) the engine uses, for non-negative
+integers,
 
 .. math::
 
@@ -23,11 +32,10 @@ from being a matmul - splits into
   (run in float64, exact for integer sums below ``2**53``), and
 * a **remainder reduction** ``sum_q (a_q w_q mod 2**B)``.  Because
   ``x*y mod 2**k`` is the natural wraparound of k-bit machine
-  multiplication, the remainder term is a fused low-bits
-  multiply-accumulate.  One rule, :meth:`SconnaEngine.remainder_kernel`,
-  picks its kernel from the output-pixel count: a native C kernel
-  (:mod:`repro.utils.native`) when available, a chunked uint8/uint16
-  broadcast in pure NumPy otherwise.  All are bit-identical.
+  multiplication, the remainder term is a chunked uint8/uint16
+  low-bits broadcast.
+
+Both paths compute the same exact integers, so they are bit-identical.
 
 A :class:`SconnaLayerPlan` caches everything derivable from the weights
 (sign-split magnitudes, low bits, psum-group slices, dtype choices) so a
@@ -67,7 +75,9 @@ def vector_path_supported(precision_bits: int, group: int) -> bool:
 
     Three requirements: the low-bits layout fits uint16 (B <= 16), the
     BLAS term's per-group integer sums stay below float64's 2**53 exact
-    range, and the remainder sums fit int32.  Every paper configuration
+    range, and the remainder sums fit int32 (so the native kernels'
+    uint32 floor sums, at most ``group * 2**8``, cannot wrap either).
+    Every paper configuration
     qualifies by orders of magnitude; callers fall back to
     :func:`sconna_matmul_reference` otherwise.
     """
@@ -95,11 +105,9 @@ class SconnaLayerPlan:
     w_float: np.ndarray              #: (L, Q) float64 signed weights
     w_lo: np.ndarray                 #: (2L, Q) low bits of the magnitudes
     group_slices: "list[slice]" = field(default_factory=list)
-    #: (L, Q) uint8 low bits of |w| for the sign-split remainder kernel
-    #: (B <= 8 layouts only; None otherwise)
-    w_mag_lo: "np.ndarray | None" = None
-    #: (L, Q) uint8 steering mask, 0xFF where w > 0 (None when B > 8)
-    w_pos_mask: "np.ndarray | None" = None
+    #: (2L, Q) uint16 magnitudes << (15 - B), the native floor-sum
+    #: kernels' weight operand (B <= 8 only; None otherwise)
+    w_mulhi: "np.ndarray | None" = None
 
     @property
     def shift(self) -> int:
@@ -115,8 +123,8 @@ class SconnaLayerPlan:
 
     @property
     def native_eligible(self) -> bool:
-        """The C kernels handle the uint8 (B <= 8) layout only."""
-        return self.w_lo.dtype == np.uint8
+        """The C kernels' multiply-high identity needs B <= 8."""
+        return self.w_mulhi is not None
 
 
 def compile_layer_plan(
@@ -153,12 +161,6 @@ def compile_layer_plan(
     # subsequent & mask yields the exact mod-2**B low bits.
     w_lo = np.ascontiguousarray(w_stacked.astype(np.int64).astype(lo_dtype))
     w_lo &= lo_dtype(mask)
-    w_mag_lo = w_pos_mask = None
-    if lo_dtype == np.uint8:
-        w_mag_lo = np.ascontiguousarray(w_mag.astype(np.uint8) & np.uint8(mask))
-        w_pos_mask = np.ascontiguousarray(
-            np.where(w_flat > 0, 0xFF, 0).astype(np.uint8)
-        )
     slices = [slice(s, min(s + group, q)) for s in range(0, q, group)]
     return SconnaLayerPlan(
         precision_bits=precision_bits,
@@ -169,8 +171,7 @@ def compile_layer_plan(
         w_float=np.ascontiguousarray(w_flat.astype(np.float64)),
         w_lo=w_lo,
         group_slices=slices,
-        w_mag_lo=w_mag_lo,
-        w_pos_mask=w_pos_mask,
+        w_mulhi=native.mulhi_weights(w_stacked, precision_bits),
     )
 
 
@@ -252,22 +253,21 @@ class SconnaEngine:
 
     # -- main kernel -----------------------------------------------------
     def remainder_kernel(self, plan: SconnaLayerPlan, p: int) -> str:
-        """The remainder kernel for ``plan`` at ``p`` output pixels.
+        """The count kernel for ``plan`` at ``p`` output pixels.
 
-        The one kernel rule: ``cols`` (column-layout C kernel,
-        vectorised over pixels) for P >= 8; ``split`` (one-pass
-        sign-split C kernel over contraction rows) for P < 8, where too
-        few pixels fill a vector; ``numpy`` (chunked broadcast) when the
-        native kernel is disabled or missing, or the plan needs the
-        uint16 low-bits layout (B > 8).  All three compute the same
-        exact integer sums.
+        The one kernel rule: ``cols`` (native floor sums vectorised over
+        pixels) for P >= 8; ``split`` (native floor sums along the
+        contraction rows) for P < 8, where too few pixels fill a vector;
+        ``numpy`` (BLAS matmul less the chunked remainder broadcast)
+        when the native library is disabled or missing, or B > 8.  All
+        three compute the same exact integer sums.
         """
         ready = self._native_ready
         if ready is None:
             # memoized: the library load outcome is stable for the
             # process lifetime, and the per-call env check was hot.  A
             # later REPRO_NATIVE=0 still takes effect for correctness -
-            # the kernel wrappers re-check and fall back to NumPy.
+            # the kernel wrapper re-checks and the engine falls back.
             ready = self._native_ready = native.native_available()
         if not (self.use_native and ready and plan.native_eligible):
             return "numpy"
@@ -284,16 +284,21 @@ class SconnaEngine:
     ) -> np.ndarray:
         """Count-domain SC matmul with per-psum-group ADC error.
 
-        ``cols``: ``(B, Q, P)`` unsigned integer activations.  Returns
-        float64 ``(B, L, P)`` signed counts, bit-exact with
+        ``cols``: ``(B, Q, P)`` unsigned integer activations in
+        ``[0, 2**B]``; C-contiguous uint16 columns (the fused path's
+        im2col dtype) reach the ``cols`` kernel, and FC columns
+        (P = 1) the ``split`` kernel, without a copy.  Returns float64
+        ``(B, L, P)`` signed counts, bit-exact with
         :func:`sconna_matmul_reference`.
 
         ``out`` (optional) is a preallocated float64 ``(B, L, P)`` result
         buffer.  ``profile`` (optional) collects
-        ``(name, start_s, end_s, tags)`` timing tuples for the BLAS and
-        remainder terms and the ADC-noise draw; timing reads the clock
-        around unchanged arithmetic, so results stay bit-identical with
-        profiling on or off.
+        ``(name, start_s, end_s, tags)`` timing tuples: one
+        ``engine.matmul`` span per psum group tagged with the kernel
+        ``kind``, an ``engine.remainder`` span on the NumPy path, and the
+        ADC-noise draw; timing reads the clock around unchanged
+        arithmetic, so results stay bit-identical with profiling on or
+        off.
 
         The noise is drawn with ``error_model.apply_to_counts(counts,
         out=...)`` into a pooled buffer, in place: the same generator
@@ -306,154 +311,77 @@ class SconnaEngine:
         apply_error = error_model is not None and not error_model.ideal()
 
         kind = self.remainder_kernel(plan, p)
-        af, a_lo = self._load_activations(plan, cols, kind)
-        rem = self.pool.get("rem", (b, 2 * l, p), np.int32)
-        s_buf = self.pool.get("s", (b, 2 * l, p), np.float64)
+        a = None if kind == "numpy" else self._kernel_operand(cols, kind)
+        af = a_lo = rem = None  # the NumPy path's operands, on first use
+        s = self.pool.get("s", (b, 2 * l, p), np.float64)
         if apply_error:
             noisy = self.pool.get("noise", (b, 2 * l, p), np.float64)
         if out is None:
             out = np.zeros((b, l, p), dtype=np.float64)
         else:
             out.fill(0.0)
-        inv_scale = 1.0 / (1 << plan.shift)
+        clock = time.monotonic
         for sl in plan.group_slices:
-            # BLAS term: exact integer sums in float64.
-            t0 = time.monotonic() if profile is not None else 0.0
-            s = np.matmul(plan.w_stacked[None, :, sl], af[:, sl, :], out=s_buf)
-            if profile is not None:
-                t1 = time.monotonic()
-                profile.append(("engine.matmul", t0, t1, {}))
-                t0 = t1
-            # remainder term: fused native kernel or chunked broadcast.
-            self._remainder(plan, a_lo, sl, rem, kind)
-            if profile is not None:
-                profile.append(("engine.remainder", t0, time.monotonic(),
-                                {"kind": kind}))
-            np.subtract(s, rem, out=s)
-            s *= inv_scale  # exact: s - rem is a multiple of 2**B
-            if apply_error:
-                t0 = time.monotonic() if profile is not None else 0.0
-                s = error_model.apply_to_counts(s, out=noisy)
+            t0 = clock() if profile is not None else 0.0
+            if a is not None and native.floor_group_sums(
+                kind, a, plan.w_mulhi, sl.start, sl.stop, s
+            ):
                 if profile is not None:
-                    profile.append(("engine.noise", t0, time.monotonic(), {}))
-            out += s[:, :l, :]
-            out -= s[:, l:, :]
-        return out
-
-    def matmul_ideal(
-        self,
-        plan: SconnaLayerPlan,
-        cols: np.ndarray,
-        *,
-        out: "np.ndarray | None" = None,
-        profile: "list | None" = None,
-    ) -> np.ndarray:
-        """Ideal-datapath SC matmul: half the BLAS and remainder work.
-
-        With no error model the sign-split stacks collapse: the counts
-        are ``(S_pos - R_pos - S_neg + R_neg) / 2**B`` where
-        ``S_pos - S_neg`` is a single *signed* L-row matmul (instead of
-        the stacked 2L rows, half of which multiply structural zeros)
-        and ``R_pos - R_neg`` comes from the one-pass sign-split
-        remainder kernel.  Every term is an exact integer below 2**53 and
-        the result is a multiple of ``2**-B``, so this is bit-identical
-        to ``matmul(plan, cols, error_model=None)`` - locked by
-        ``tests/test_cnn_engine.py``.  An active error model needs the
-        full stacked counts for its noise draw, so noisy callers must use
-        :meth:`matmul`.
-        """
-        b, q, p = cols.shape
-        if q != plan.n_in:
-            raise ValueError(f"cols Q={q} does not match plan Q={plan.n_in}")
-        l = plan.n_out
-
-        kind = self.remainder_kernel(plan, p)
-        af, a_lo = self._load_activations(plan, cols, kind)
-        rem = self.pool.get("rem", (b, 2 * l, p), np.int32)
-        s_buf = self.pool.get("s_signed", (b, l, p), np.float64)
-        if out is None:
-            out = np.empty((b, l, p), dtype=np.float64)
-        single = len(plan.group_slices) == 1
-        if not single:
-            out.fill(0.0)
-        inv_scale = 1.0 / (1 << plan.shift)
-        for sl in plan.group_slices:
-            t0 = time.monotonic() if profile is not None else 0.0
-            s = np.matmul(plan.w_float[None, :, sl], af[:, sl, :], out=s_buf)
-            if profile is not None:
-                t1 = time.monotonic()
-                profile.append(("engine.matmul", t0, t1, {}))
-                t0 = t1
-            self._remainder(plan, a_lo, sl, rem, kind)
-            if profile is not None:
-                profile.append(("engine.remainder", t0, time.monotonic(),
-                                {"kind": kind}))
-            np.subtract(s, rem[:, :l, :], out=s)
-            s += rem[:, l:, :]
-            if single:
-                np.multiply(s, inv_scale, out=out)
+                    profile.append(("engine.matmul", t0, clock(), {"kind": kind}))
             else:
-                s *= inv_scale
-                out += s
+                # the NumPy decomposition: BLAS term less the remainder
+                if af is None:
+                    af, a_lo = self._load_activations(plan, cols)
+                    rem = self.pool.get("rem", (b, 2 * l, p), np.int32)
+                np.matmul(plan.w_stacked[None, :, sl], af[:, sl, :], out=s)
+                if profile is not None:
+                    t1 = clock()
+                    profile.append(("engine.matmul", t0, t1, {"kind": "numpy"}))
+                    t0 = t1
+                _remainder_fallback(a_lo, plan.w_lo, sl, plan.mask, rem)
+                if profile is not None:
+                    profile.append(("engine.remainder", t0, clock(),
+                                    {"kind": "numpy"}))
+                np.subtract(s, rem, out=s)
+                s *= 1.0 / (1 << plan.shift)  # exact: a multiple of 2**B
+            counts = s
+            if apply_error:
+                t0 = clock() if profile is not None else 0.0
+                counts = error_model.apply_to_counts(s, out=noisy)
+                if profile is not None:
+                    profile.append(("engine.noise", t0, clock(), {}))
+            out += counts[:, :l, :]
+            out -= counts[:, l:, :]
         return out
+
+    def _kernel_operand(self, cols: np.ndarray, kind: str) -> np.ndarray:
+        """``cols`` as the C-contiguous uint16 operand of ``kind``'s
+        kernel: ``(B, Q, P)`` for ``cols``, ``(B, P, Q)`` for ``split``.
+        A ``(B, Q, 1)`` FC column is already ``(B, 1, Q)`` in memory."""
+        b, q, p = cols.shape
+        if kind == "split":
+            cols = cols.reshape(b, 1, q) if p == 1 else cols.transpose(0, 2, 1)
+        if cols.dtype == np.uint16 and cols.flags.c_contiguous:
+            return cols
+        a = self.pool.get("a16", cols.shape, np.uint16)
+        np.copyto(a, cols, casting="unsafe")
+        return a
 
     def _load_activations(
-        self, plan: SconnaLayerPlan, cols: np.ndarray, kind: str
+        self, plan: SconnaLayerPlan, cols: np.ndarray
     ) -> "tuple[np.ndarray, np.ndarray]":
-        """Per-call activation views from the pool: exact float64 for the
-        BLAS term, low bits for the remainder term.  Row-contraction
-        kernels want the low bits transposed to ``(B, P, Q)``; the
-        ``cols`` kernel consumes the native ``(B, Q, P)`` layout and so
-        skips the transposed copy."""
+        """The NumPy path's pooled operands: exact float64 columns for the
+        BLAS term, masked low bits in the ``(B, P, Q)`` row layout for
+        the remainder term."""
         b, q, p = cols.shape
-        if cols.dtype == np.float64 and cols.flags.c_contiguous:
-            # the fused graph path gathers columns straight into a
-            # float64 arena buffer: it already *is* the exact BLAS
-            # operand (integer-valued, <= 2**B < 2**53), so skip the copy
-            af = cols
-        else:
-            af = self.pool.get("af", (b, q, p), np.float64)
-            np.copyto(af, cols)
+        af = self.pool.get("af", (b, q, p), np.float64)
+        np.copyto(af, cols)
         lo_dtype = plan.lo_dtype
-        if kind == "cols":
-            a_lo = self.pool.get("a_lo_cols", (b, q, p), lo_dtype)
-            np.copyto(a_lo, cols, casting="unsafe")
-        else:
-            a_lo = self.pool.get("a_lo", (b, p, q), lo_dtype)
-            np.copyto(a_lo, cols.transpose(0, 2, 1), casting="unsafe")
+        a_lo = self.pool.get("a_lo", (b, p, q), lo_dtype)
+        np.copyto(a_lo, cols.transpose(0, 2, 1), casting="unsafe")
         if plan.mask != (1 << (8 * lo_dtype.itemsize)) - 1:
             a_lo &= lo_dtype.type(plan.mask)
         return af, a_lo
-
-    def _remainder(
-        self,
-        plan: SconnaLayerPlan,
-        a_lo: np.ndarray,
-        sl: slice,
-        rem: np.ndarray,
-        kind: str,
-    ) -> None:
-        """Fill ``rem`` for the group ``sl`` with ``kind``'s kernel (see
-        :meth:`remainder_kernel`); ``a_lo`` is in that kernel's layout.
-        Every kernel produces identical int32 sums, so a native kernel
-        that is gone by call time (``REPRO_NATIVE=0`` set mid-process)
-        falls back to NumPy without changing a bit.
-        """
-        mask = plan.mask
-        if kind == "cols":
-            if native.remainder_group_sums_cols(
-                a_lo, plan.w_mag_lo, plan.w_pos_mask,
-                sl.start, sl.stop, mask, rem,
-            ):
-                return
-            # the NumPy fallback wants the (B, P, Q) row layout
-            a_lo = a_lo.transpose(0, 2, 1)
-        elif kind == "split" and native.remainder_group_sums_split(
-            a_lo, plan.w_mag_lo, plan.w_pos_mask,
-            sl.start, sl.stop, mask, rem,
-        ):
-            return
-        _remainder_fallback(a_lo, plan.w_lo, sl, mask, rem)
 
 
 def _remainder_fallback(

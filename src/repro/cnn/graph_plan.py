@@ -3,10 +3,9 @@
 The per-layer path runs each quantized layer as an island: float64
 activations flow between layers and every layer re-quantizes from
 float.  This module compiles the whole layer sequence into a
-:class:`NetworkPlan` - fused
-quantize -> im2col -> count-matmul -> remainder -> requantize chains
-with a single buffer-lifetime plan - and executes it with inter-layer
-activations held in preallocated *integer* workspaces.
+:class:`NetworkPlan` - fused quantize -> im2col -> count-matmul ->
+requantize chains with a single buffer-lifetime plan - and executes it
+with inter-layer activations held in preallocated *integer* workspaces.
 
 **Fusion rules (and why they are bit-exact).**  Activation quantization
 is ``clip(rint(max(x, 0) / s), 0, levels)`` with a positive scale: a
@@ -19,8 +18,8 @@ domain - bit-identical to the reference per-layer path, which pools in
 float and re-quantizes at the next layer's input.  The dequantize ->
 bias -> requantize chain between two matmuls replays the reference's
 exact float64 op sequence (same values; in-place ops on a pooled
-scratch), and the count matmuls themselves are exact-integer sums in
-float64, so every remainder kernel produces the same bits.
+scratch), and the count matmuls themselves are exact integer sums, so
+every count kernel produces the same bits.
 ``tests/test_cnn_graph_plan.py`` locks fused == per-layer for every
 zoo model in int8 and sconna (ideal and seeded) modes.
 
@@ -32,16 +31,19 @@ reader finishes), and records the per-slot capacities.  At run time the
 slots are thread-local pooled buffers (:class:`~repro.cnn.engine._BufferPool`
 tags ``gp<slot>``), so a steady-state forward pass performs **no
 tensor-sized allocations**: integer grids, column buffers, and count
-buffers all live in the arena; the engine's own float64 workspaces
-(``af``/``a_lo``/``rem``/``s``) are pooled by the engine itself.
+buffers all live in the arena; the engine's own workspaces (the
+``s`` counts, the noise draw, and the NumPy path's operands) are pooled
+by the engine itself.
 
-**Kernel rule.**  Every count matmul is one BLAS call; each sconna
-stage's remainder kernel comes from the engine's shape rule
-(:meth:`~repro.cnn.engine.SconnaEngine.remainder_kernel`: column-layout
-C for P >= 8 output pixels, sign-split C below, NumPy without the
-native kernel).  No timing pass runs at plan time.  The picks are
-recorded, not persisted, in the model's ``autotune`` dict so benchmarks
-and operators can see what runs.
+**Kernel rule.**  A sconna stage gathers its im2col columns in the
+uint16 grid dtype, and its count kernel comes from the engine's shape
+rule (:meth:`~repro.cnn.engine.SconnaEngine.remainder_kernel`: native
+floor sums over pixels for P >= 8 output pixels, along the contraction
+below, a BLAS decomposition in NumPy without the native library).  With
+the native library a sconna forward makes no BLAS call; an int8 count
+matmul is one BLAS call.  No timing pass runs at plan time.  The picks
+are recorded, not persisted, in the model's ``autotune`` dict so
+benchmarks and operators can see what runs.
 
 **Request-parallel execution.**  :meth:`NetworkPlan.try_execute` cuts
 a noisy per-request batch between requests into image-balanced chunks
@@ -300,16 +302,19 @@ class _ShapeProgram:
             in_spatial = cur.shape if layer.kind == "conv" else (b, *geom)
             cols_ref = None
             if layer.kind == "conv":
-                # float64 columns: the im2col gather fuses the cast and
-                # the engine uses the buffer directly as its exact BLAS
-                # operand (no af copy)
-                cols_ref = ref((b, q_len, p), np.float64)
+                # the im2col gather fuses the cast to each count
+                # kernel's operand: float64 for int8's BLAS call, the
+                # grid dtype for the sconna engine (used without a copy)
+                cols_ref = ref(
+                    (b, q_len, p),
+                    np.float64 if mode == "int8" else self.grid_dtype,
+                )
             elif mode == "int8":
                 cols_ref = ref((b, q_len), np.float64)
             out_ref = ref((b, l, p), np.float64)
             # grid dies once its columns are gathered (or, when the grid
             # itself is the engine's column view, once the matmul has
-            # copied it); cols die after the matmul
+            # read it); cols die after the matmul
             give(in_ref.slot)
             if cols_ref is not None:
                 give(cols_ref.slot)
@@ -471,11 +476,6 @@ class _ShapeProgram:
             profile.append(("quantize", t0, clock(),
                             {"entry": "lut" if lut is not None else "float"}))
 
-        apply_err = (
-            self.mode == "sconna"
-            and error_model is not None
-            and not error_model.ideal()
-        )
         final: "np.ndarray | None" = None
         for si, stage in enumerate(self.stages):
             if stage.pre_steps:
@@ -500,12 +500,8 @@ class _ShapeProgram:
                 cols = src.reshape(*src.shape, 1)
             if self.mode == "sconna":
                 first = len(profile) if profile is not None else 0
-                if apply_err:
-                    eng.matmul(stage.plan, cols, error_model, out=counts,
-                               profile=profile)
-                else:
-                    eng.matmul_ideal(stage.plan, cols, out=counts,
-                                     profile=profile)
+                eng.matmul(stage.plan, cols, error_model, out=counts,
+                           profile=profile)
                 if profile is not None:
                     for span in profile[first:]:
                         span[3]["stage"] = si

@@ -245,9 +245,9 @@ class ThreadBackend(ExecutionBackend):
     """In-process execution on a thread pool (the historical datapath).
 
     ``n_workers`` daemon threads drain one task queue.  The engine's hot
-    path releases the GIL inside BLAS and the native remainder kernel,
-    so a few threads exploit whatever parallelism one process can
-    reach; per-thread warm buffers come from
+    path releases the GIL inside BLAS (int8) and the native floor-sum
+    kernels (sconna), so a few threads exploit whatever parallelism one
+    process can reach; per-thread warm buffers come from
     :class:`~repro.cnn.engine.SconnaEngine`'s thread-local pools.  Tasks
     route per-request failures through ``on_done``; one that raises
     anyway only bumps ``task_errors``, so a poisoned batch cannot kill

@@ -1,20 +1,29 @@
-"""Optional native (C) acceleration for the hottest SC kernel.
+"""Optional native (C) kernels for the sconna engine's count stage.
 
-The vectorized count-domain engine (:mod:`repro.cnn.engine`) reduces the
-SCONNA matmul to one BLAS call plus a *remainder reduction*:
-``R[b, l, p] = sum_q ((a[b, q, p] * w[l, q]) mod 2**B)``.  NumPy has no
-fused modular multiply-accumulate, so the pure-NumPy path must
-materialise the ``(B, L, Q, P)`` remainder tensor in chunks and pay a
-slow widening ``uint8 -> uint32`` reduction.  A ~40-line C loop does the
-same thing fused, in registers, at memory speed.
+The vectorized count-domain engine (:mod:`repro.cnn.engine`) needs, per
+psum group, the sign-split floor sums
+``S[b, r, p] = sum_q floor(a[b, q, p] * |w[r, q]| / 2**B)``.  NumPy can
+only build them the long way, as a float64 BLAS matmul less a low-bits
+remainder reduction.  Two short C loops compute them directly, one
+integer pass per group, with the multiply-high identity
 
-This module compiles that loop **at runtime** with the system C compiler
-(``cc``), caches the shared object in the platform temp directory keyed
-by a hash of the source, and loads it through :mod:`ctypes`.  Everything
-is best-effort: if there is no compiler, the build fails, or the
-environment variable ``REPRO_NATIVE=0`` is set, callers transparently
-fall back to the pure-NumPy implementation - results are bit-identical
-either way (locked by ``tests/test_cnn_engine.py``).
+    floor(a * |w| / 2**B) = mulhi16(a << 1, |w| << (15 - B))
+
+for ``a, |w|`` in ``[0, 2**B]`` and ``B <= 8``: both operands fit 16
+bits (a plain 16-bit product of 256 * 256 would wrap), and compilers
+turn the widening multiply's high half into one vector instruction
+(``vpmulhuw`` on x86).  ``floor_sums_cols`` vectorises over output
+pixels in the engine's ``(B, Q, P)`` layout; ``floor_sums_rows`` runs
+along the contraction in the ``(B, P, Q)`` layout, for P < 8.
+
+This module compiles the loops **at runtime** with the system C
+compiler (``cc``), caches the shared object in the platform temp
+directory keyed by a hash of the source, and loads it through
+:mod:`ctypes`.  Everything is best-effort: if there is no compiler, the
+build fails, or the environment variable ``REPRO_NATIVE=0`` is set,
+callers transparently fall back to the pure-NumPy decomposition -
+results are bit-identical either way (locked by
+``tests/test_cnn_engine.py``).
 """
 
 from __future__ import annotations
@@ -33,97 +42,115 @@ _SOURCE = r"""
 #include <stdint.h>
 #include <stddef.h>
 
-/* Sign-split row kernel: a holds rows of length q at byte stride
-   a_stride, laid out as (bn, p) rows.  One multiply per (weight,
-   activation) pair: w_mag holds the |w| low bits for all L rows, w_sgn
-   is 0xFF where w > 0 and 0x00 elsewhere; each wrapped product is
-   steered into the positive or negative accumulation with a byte mask
-   (w == 0 rows have w_mag == 0, so both sides receive 0).  out is
-   (bn, 2l, p) int32: rows [0, l) positive sums, rows [l, 2l)
-   negative.  16-bit partial sums over 255-element runs cannot wrap. */
-void rem_group_sums_split(const uint8_t *restrict a, long a_stride,
-                          const uint8_t *restrict w_mag,
-                          const uint8_t *restrict w_sgn, long w_stride,
-                          int32_t *restrict out,
-                          long bn, long l, long p, long q, uint8_t mask) {
+/* Products per uint16 partial sum: a floored product is at most
+   2^8, and 255 * 2^8 < 2^16. */
+#define RUN 255
+/* Pixels per column-kernel tile. */
+#define TILE 64
+
+/* floor(a * |w| / 2^B) for a, |w| in [0, 2^B], B <= 8: the caller
+   passes x = a << 1 and y = |w| << (15 - B), both below 2^16.  The
+   B-dependent shift sits on the (precomputed) weights: a variable shift
+   of the activations keeps compilers from emitting one vector
+   multiply-high. */
+static inline uint16_t mulhi(uint16_t x, uint16_t y) {
+    return (uint16_t)(((uint32_t)x * y) >> 16);
+}
+
+/* Row layout, for few output pixels: a holds one row of q activations
+   per (image, pixel), a_stride apart.  w is (2l, w_stride): the
+   positive-weight rows, then the negative-weight rows.  Fills the
+   (bn, 2l, p) double out, vectorised along the contraction. */
+void floor_sums_rows(const uint16_t *restrict a, long a_stride,
+                     const uint16_t *restrict w, long w_stride,
+                     double *restrict out,
+                     long bn, long l, long p, long q) {
     for (long bi = 0; bi < bn; bi++) {
-        const uint8_t *ab = a + (size_t)bi * p * a_stride;
-        for (long li = 0; li < l; li++) {
-            const uint8_t *wr = w_mag + (size_t)li * w_stride;
-            const uint8_t *sr = w_sgn + (size_t)li * w_stride;
-            int32_t *opos = out + ((size_t)bi * 2 * l + li) * p;
-            int32_t *oneg = out + ((size_t)bi * 2 * l + l + li) * p;
-            for (long pi = 0; pi < p; pi++) {
-                const uint8_t *ar = ab + (size_t)pi * a_stride;
-                uint32_t accp = 0, accn = 0;
-                long qi = 0;
-                for (; qi + 255 <= q; qi += 255) {
+        for (long pi = 0; pi < p; pi++) {
+            const uint16_t *ar = a + (size_t)(bi * p + pi) * a_stride;
+            double *o = out + (size_t)bi * 2 * l * p + pi;
+            for (long r = 0; r < l; r++) {
+                const uint16_t *wp = w + (size_t)r * w_stride;
+                const uint16_t *wn = w + (size_t)(l + r) * w_stride;
+                uint32_t sp = 0, sn = 0;
+                for (long q0 = 0; q0 < q; q0 += RUN) {
+                    long q1 = q - q0 < RUN ? q : q0 + RUN;
                     uint16_t pp = 0, pn = 0;
-                    const uint8_t *restrict a2 = ar + qi;
-                    const uint8_t *restrict w2 = wr + qi;
-                    const uint8_t *restrict s2 = sr + qi;
-                    for (long k = 0; k < 255; k++) {
-                        uint8_t m = (uint8_t)((uint8_t)(a2[k] * w2[k]) & mask);
-                        pp += (uint8_t)(m & s2[k]);
-                        pn += (uint8_t)(m & (uint8_t)~s2[k]);
+                    for (long k = q0; k < q1; k++) {
+                        uint16_t x = (uint16_t)(ar[k] << 1);
+                        pp += mulhi(x, wp[k]);
+                        pn += mulhi(x, wn[k]);
                     }
-                    accp += pp;
-                    accn += pn;
+                    sp += pp;
+                    sn += pn;
                 }
-                {
-                    uint16_t pp = 0, pn = 0;
-                    for (; qi < q; qi++) {
-                        uint8_t m = (uint8_t)((uint8_t)(ar[qi] * wr[qi]) & mask);
-                        pp += (uint8_t)(m & sr[qi]);
-                        pn += (uint8_t)(m & (uint8_t)~sr[qi]);
-                    }
-                    accp += pp;
-                    accn += pn;
-                }
-                opos[pi] = (int32_t)accp;
-                oneg[pi] = (int32_t)accn;
+                o[r * p] = sp;
+                o[(l + r) * p] = sn;
             }
         }
     }
 }
 
-/* Column-layout variant for conv shapes (small Q, large P): a stays in
-   the engine's (bn, q, p) cols layout and the inner loop runs over the
-   contiguous P axis, so the compiler vectorises across output pixels
-   instead of across a 20-odd-element contraction row.  Weights with
-   zero low bits (w == 0, or |w| == 2**8 whose products are exact
-   multiples of 256) contribute nothing to the remainder and are skipped
-   outright.  Fills the same (bn, 2l, p) int32 layout as
-   rem_group_sums_split. */
-void rem_group_sums_cols(const uint8_t *restrict a, long a_q_stride,
-                         long a_b_stride,
-                         const uint8_t *restrict w_mag,
-                         const uint8_t *restrict w_sgn, long w_stride,
-                         int32_t *restrict out,
-                         long bn, long l, long p, long q, uint8_t mask) {
-    for (long bi = 0; bi < bn; bi++) {
-        const uint8_t *ab = a + (size_t)bi * a_b_stride;
-        for (long li = 0; li < l; li++) {
-            const uint8_t *wr = w_mag + (size_t)li * w_stride;
-            const uint8_t *sr = w_sgn + (size_t)li * w_stride;
-            int32_t *opos = out + ((size_t)bi * 2 * l + li) * p;
-            int32_t *oneg = out + ((size_t)bi * 2 * l + l + li) * p;
-            for (long pi = 0; pi < p; pi++) {
-                opos[pi] = 0;
-                oneg[pi] = 0;
+/* Column layout: a is (bn, q, p) with images a_b_stride apart; w and
+   out as in floor_sums_rows.  The bn * p pixels are cut into TILE-wide
+   tiles that may span images, so a small p still fills the vectors;
+   each tile is packed (shifted, zero-padded) one run of contraction
+   rows at a time and its sums are vectorised across pixels. */
+void floor_sums_cols(const uint16_t *restrict a, long a_b_stride,
+                     const uint16_t *restrict w, long w_stride,
+                     double *restrict out,
+                     long bn, long l, long p, long q) {
+    uint16_t at[RUN][TILE];
+    /* a tile's runs of pixels within one image: image, first pixel,
+       first lane, length */
+    long sb[TILE], sp0[TILE], st[TILE], sn[TILE];
+    const long total = bn * p;
+    for (long n0 = 0; n0 < total; n0 += TILE) {
+        long nt = total - n0 < TILE ? total - n0 : TILE, ns = 0;
+        for (long t = 0; t < nt; t += sn[ns++]) {
+            sb[ns] = (n0 + t) / p;
+            sp0[ns] = (n0 + t) % p;
+            st[ns] = t;
+            sn[ns] = p - sp0[ns] < nt - t ? p - sp0[ns] : nt - t;
+        }
+        for (long q0 = 0; q0 < q; q0 += RUN) {
+            long qn = q - q0 < RUN ? q - q0 : RUN;
+            for (long k = 0; k < qn; k++) {
+                for (long s = 0; s < ns; s++) {
+                    const uint16_t *src = a + (size_t)sb[s] * a_b_stride
+                                          + (size_t)(q0 + k) * p + sp0[s];
+                    for (long j = 0; j < sn[s]; j++)
+                        at[k][st[s] + j] = (uint16_t)(src[j] << 1);
+                }
+                for (long t = nt; t < TILE; t++)
+                    at[k][t] = 0;
             }
-            for (long qi = 0; qi < q; qi++) {
-                uint8_t wv = wr[qi];
-                if (wv == 0)
-                    continue;
-                const uint8_t *restrict ar = ab + (size_t)qi * a_q_stride;
-                int32_t *restrict acc = sr[qi] ? opos : oneg;
-                if (mask == 0xFF) {
-                    for (long pi = 0; pi < p; pi++)
-                        acc[pi] += (uint8_t)(ar[pi] * wv);
-                } else {
-                    for (long pi = 0; pi < p; pi++)
-                        acc[pi] += (uint8_t)((uint8_t)(ar[pi] * wv) & mask);
+            for (long r = 0; r < l; r++) {
+                const uint16_t *wp = w + (size_t)r * w_stride + q0;
+                const uint16_t *wn = w + (size_t)(l + r) * w_stride + q0;
+                uint16_t ap[TILE] = {0}, an[TILE] = {0};
+                for (long k = 0; k < qn; k++) {
+                    const uint16_t x = wp[k], y = wn[k];
+                    for (int t = 0; t < TILE; t++) {
+                        ap[t] += mulhi(at[k][t], x);
+                        an[t] += mulhi(at[k][t], y);
+                    }
+                }
+                /* scatter from copies: indexing ap and an by segment
+                   would pin them to memory in the loop above */
+                uint16_t vp[TILE], vn[TILE];
+                for (int t = 0; t < TILE; t++) {
+                    vp[t] = ap[t];
+                    vn[t] = an[t];
+                }
+                for (long s = 0; s < ns; s++) {
+                    double *dp = out + ((size_t)sb[s] * 2 * l + r) * p + sp0[s];
+                    double *dn = dp + (size_t)l * p;
+                    const uint16_t *up = vp + st[s], *un = vn + st[s];
+                    for (long j = 0; j < sn[s]; j++) {
+                        dp[j] = q0 ? dp[j] + up[j] : up[j];
+                        dn[j] = q0 ? dn[j] + un[j] : un[j];
+                    }
                 }
             }
         }
@@ -162,12 +189,12 @@ def _compile() -> "ctypes.CDLL | None":
     cache_root = _cache_dir()
     if cache_root is None:
         return None
-    cache = os.path.join(cache_root, f"rem_{digest}.so")
+    cache = os.path.join(cache_root, f"floor_{digest}.so")
     if not os.path.exists(cache):
         workdir = tempfile.mkdtemp(prefix="repro_native_build_")
         try:
-            src = os.path.join(workdir, "rem.c")
-            tmp_so = os.path.join(workdir, "rem.so")
+            src = os.path.join(workdir, "floor.c")
+            tmp_so = os.path.join(workdir, "floor.so")
             with open(src, "w") as fh:
                 fh.write(_SOURCE)
             base = [
@@ -192,24 +219,14 @@ def _compile() -> "ctypes.CDLL | None":
         lib = ctypes.CDLL(cache)
     except OSError:
         return None
-    lib.rem_group_sums_split.argtypes = [
-        ctypes.c_void_p, ctypes.c_long,
-        ctypes.c_void_p,
-        ctypes.c_void_p, ctypes.c_long,
-        ctypes.c_void_p,
-        ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-        ctypes.c_uint8,
-    ]
-    lib.rem_group_sums_split.restype = None
-    lib.rem_group_sums_cols.argtypes = [
-        ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
-        ctypes.c_void_p,
-        ctypes.c_void_p, ctypes.c_long,
-        ctypes.c_void_p,
-        ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-        ctypes.c_uint8,
-    ]
-    lib.rem_group_sums_cols.restype = None
+    for kernel in (lib.floor_sums_rows, lib.floor_sums_cols):
+        kernel.argtypes = [
+            ctypes.c_void_p, ctypes.c_long,
+            ctypes.c_void_p, ctypes.c_long,
+            ctypes.c_void_p,
+            ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
+        ]
+        kernel.restype = None
     return lib
 
 
@@ -230,69 +247,54 @@ def native_available() -> bool:
     return get_kernel() is not None
 
 
-def remainder_group_sums_split(
-    a_lo: np.ndarray,
-    w_mag_lo: np.ndarray,
-    w_pos_mask: np.ndarray,
+def mulhi_weights(w_mag: np.ndarray, bits: int) -> "np.ndarray | None":
+    """The kernels' weight operand: uint16 ``|w| << (15 - B)`` for
+    magnitudes in ``[0, 2**B]``, or None when ``B > 8`` puts the
+    multiply-high identity out of reach."""
+    if bits > 8:
+        return None
+    return w_mag.astype(np.uint16) << (15 - bits)
+
+
+def floor_group_sums(
+    kind: str,
+    a: np.ndarray,
+    w_mulhi: np.ndarray,
     q_start: int,
     q_stop: int,
-    mask: int,
     out: np.ndarray,
 ) -> bool:
-    """Sign-split remainder reduction: one multiply per (w, a) pair.
+    """Sign-split floor sums of one psum group, straight into ``out``.
 
-    ``a_lo``: C-contiguous ``(B, P, Q)`` uint8 masked low bits;
-    ``w_mag_lo``: C-contiguous ``(L, Q)`` uint8 low bits of ``|w|``;
-    ``w_pos_mask``: C-contiguous ``(L, Q)`` uint8, 0xFF where ``w > 0``.
-    The contraction runs over ``q_start:q_stop`` and fills the
-    C-contiguous ``(B, 2L, P)`` int32 ``out`` with
-    ``sum_q (a*|w|) & mask`` - positive-weight sums in ``out[:, :L]``,
-    negative in ``out[:, L:]``.  Returns False (without touching
-    ``out``) when the native kernel is unavailable.
+    ``a``: C-contiguous uint16 activations in ``[0, 2**B]``, laid out
+    ``(B, Q, P)`` for ``kind == "cols"`` and ``(B, P, Q)`` otherwise;
+    ``w_mulhi``: C-contiguous ``(2L, Q)`` :func:`mulhi_weights`,
+    positive-weight rows first (``SconnaLayerPlan.w_mulhi``).  Fills
+    the C-contiguous ``(B, 2L, P)`` float64 ``out`` with
+    ``sum_q floor(a * |w| / 2**B)`` over ``q_start:q_stop``.  Returns
+    False, without touching ``out``, when the library is unavailable;
+    raises ValueError when the operands' shapes, dtypes, layout or the
+    Q range do not fit the kernel.
     """
     lib = get_kernel()
     if lib is None:
         return False
-    bn, p, q_total = a_lo.shape
-    l = w_mag_lo.shape[0]
-    qg = q_stop - q_start
-    lib.rem_group_sums_split(
-        a_lo.ctypes.data + q_start, q_total,
-        w_mag_lo.ctypes.data + q_start,
-        w_pos_mask.ctypes.data + q_start, w_mag_lo.shape[1],
-        out.ctypes.data,
-        bn, l, p, qg, mask,
+    bn, l2, p = out.shape
+    q_total = w_mulhi.shape[1]
+    if not (
+        a.shape == ((bn, q_total, p) if kind == "cols" else (bn, p, q_total))
+        and w_mulhi.shape[0] == l2 and l2 % 2 == 0
+        and 0 <= q_start <= q_stop <= q_total
+        and a.dtype == w_mulhi.dtype == np.uint16 and out.dtype == np.float64
+        and all(x.flags.c_contiguous for x in (a, w_mulhi, out))
+    ):
+        raise ValueError("floor_group_sums: operands do not fit the kernel")
+    tail = (
+        w_mulhi.ctypes.data + 2 * q_start, q_total,
+        out.ctypes.data, bn, l2 // 2, p, q_stop - q_start,
     )
-    return True
-
-
-def remainder_group_sums_cols(
-    a_lo_cols: np.ndarray,
-    w_mag_lo: np.ndarray,
-    w_pos_mask: np.ndarray,
-    q_start: int,
-    q_stop: int,
-    mask: int,
-    out: np.ndarray,
-) -> bool:
-    """Column-layout remainder reduction, vectorised over output pixels.
-
-    ``a_lo_cols``: C-contiguous ``(B, Q, P)`` uint8 masked low bits in
-    the engine's cols layout (no transpose needed); ``w_mag_lo`` /
-    ``w_pos_mask`` as in :func:`remainder_group_sums_split`.  Fills the
-    ``(B, 2L, P)`` int32 ``out``.  Returns False when unavailable.
-    """
-    lib = get_kernel()
-    if lib is None:
-        return False
-    bn, q_total, p = a_lo_cols.shape
-    l = w_mag_lo.shape[0]
-    qg = q_stop - q_start
-    lib.rem_group_sums_cols(
-        a_lo_cols.ctypes.data + q_start * p, p, q_total * p,
-        w_mag_lo.ctypes.data + q_start,
-        w_pos_mask.ctypes.data + q_start, w_mag_lo.shape[1],
-        out.ctypes.data,
-        bn, l, p, qg, mask,
-    )
+    if kind == "cols":
+        lib.floor_sums_cols(a.ctypes.data + 2 * q_start * p, q_total * p, *tail)
+    else:
+        lib.floor_sums_rows(a.ctypes.data + 2 * q_start, q_total, *tail)
     return True

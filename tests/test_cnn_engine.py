@@ -415,33 +415,100 @@ class TestIm2colBufferReuse:
             im2col(x, 2, out=np.empty((1, 4, 4)))
 
 
+def native_floor_sums(kind, cols, w, b, start, stop):
+    """Run ``kind``'s native floor-sum kernel over ``cols[:, start:stop]``
+    and check it against the sign-split einsum ground truth."""
+    if not native.native_available():
+        pytest.skip("no native kernel in this environment")
+    plan = compile_layer_plan(w, b, w.shape[1])
+    layout = cols if kind == "cols" else cols.transpose(0, 2, 1)
+    a = np.ascontiguousarray(layout.astype(np.uint16))
+    out = np.full((cols.shape[0], 2 * w.shape[0], cols.shape[2]), np.nan)
+    assert native.floor_group_sums(kind, a, plan.w_mulhi, start, stop, out)
+    sl = slice(start, stop)
+    truth = [
+        exact_counts(cols[:, sl], np.maximum(sign * w[:, sl], 0), b, "einsum")
+        for sign in (1, -1)
+    ]
+    assert np.array_equal(out, np.concatenate(truth, axis=1))
+
+
+def random_operands(seed, batch, q, p, l, b):
+    rng = np.random.default_rng(seed)
+    top = 1 << b
+    cols = rng.integers(0, top + 1, size=(batch, q, p))
+    w = rng.integers(-top, top + 1, size=(l, q))
+    w[rng.random(w.shape) < 0.2] = 0
+    return cols, w
+
+
 class TestNativeKernel:
-    def test_fallback_matches_native_when_available(self):
-        """The split (row layout) and cols (column layout) C kernels
-        against an int64 ground truth over a sub-range of Q."""
+    """Both native floor-sum kernels at their edges, against an int64
+    ground truth: ``floor(a * |w| / 2**B)`` as a multiply-high is exact
+    only while both operands fit 16 bits and the uint16 partial sums
+    over 255-row runs cannot wrap."""
+
+    @pytest.mark.parametrize("kind", ["cols", "split"])
+    @pytest.mark.parametrize("b", range(1, 9))
+    def test_saturated_operands(self, kind, b):
+        """a = |w| = 2**B: every product floors to 2**B, the largest."""
+        top = 1 << b
+        cols = np.full((2, 300, 9), top)
+        w = np.stack([np.full(300, top), np.full(300, -top), np.zeros(300, int)])
+        native_floor_sums(kind, cols, w, b, 0, 300)
+
+    @pytest.mark.parametrize("kind", ["cols", "split"])
+    @pytest.mark.parametrize("q", [254, 255, 256, 510, 511, 704])
+    def test_uint16_run_boundary(self, kind, q):
+        cols, w = random_operands(q, 2, q, 9, 3, 8)
+        cols[0] = 256
+        w[0], w[1] = 256, -256
+        native_floor_sums(kind, cols, w, 8, 0, q)
+
+    @pytest.mark.parametrize("kind", ["cols", "split"])
+    @pytest.mark.parametrize("p", [1, 7, 8, 63, 64, 65, 130])
+    def test_pixel_counts_around_the_tile(self, kind, p):
+        """Column tiles span images when P is not a tile multiple."""
+        cols, w = random_operands(p, 3, 40, p, 3, 8)
+        native_floor_sums(kind, cols, w, 8, 0, 40)
+
+    @pytest.mark.parametrize("kind", ["cols", "split"])
+    @pytest.mark.parametrize("b", range(1, 9))
+    def test_every_precision_over_a_q_subrange(self, kind, b):
+        cols, w = random_operands(b, 2, 300, 11, 4, b)
+        native_floor_sums(kind, cols, w, b, 3, 290)
+
+    def test_operands_are_checked_before_the_call(self):
+        """Wrong dtype, layout, shape or range raises instead of handing
+        the kernel a pointer it would read past."""
         if not native.native_available():
             pytest.skip("no native kernel in this environment")
-        rng = np.random.default_rng(10)
-        a_rows = np.ascontiguousarray(
-            rng.integers(0, 256, size=(2, 5, 40)).astype(np.uint8)
-        )
-        w = rng.integers(-256, 257, size=(3, 40)).astype(np.int64)
-        plan = compile_layer_plan(w, 8, 40)
-        expect = (
-            (a_rows[:, None, :, 8:31].astype(np.int64)
-             * plan.w_lo[None, :, None, 8:31]) % 256
-        ).sum(axis=-1)
-        out = np.empty((2, 6, 5), dtype=np.int32)
-        assert native.remainder_group_sums_split(
-            a_rows, plan.w_mag_lo, plan.w_pos_mask, 8, 31, 0xFF, out
-        )
-        assert np.array_equal(out.astype(np.int64), expect)
-        out = np.empty((2, 6, 5), dtype=np.int32)
-        a_cols = np.ascontiguousarray(a_rows.transpose(0, 2, 1))
-        assert native.remainder_group_sums_cols(
-            a_cols, plan.w_mag_lo, plan.w_pos_mask, 8, 31, 0xFF, out
-        )
-        assert np.array_equal(out.astype(np.int64), expect)
+        cols, w = random_operands(3, 2, 40, 9, 3, 8)
+        w_mulhi = compile_layer_plan(w, 8, 40).w_mulhi
+        a = np.ascontiguousarray(cols.astype(np.uint16))
+        out = np.empty((2, 6, 9))
+        for bad in (
+            (cols, w_mulhi, 0, 40, out),
+            (a.transpose(0, 2, 1), w_mulhi, 0, 40, out),
+            (a, w_mulhi[:4], 0, 40, out),
+            (a, w_mulhi, 0, 41, out),
+            (a, w_mulhi, 0, 40, out.astype(np.float32)),
+        ):
+            with pytest.raises(ValueError, match="do not fit"):
+                native.floor_group_sums("cols", *bad)
+
+    def test_library_gone_at_call_time(self, monkeypatch):
+        """A rule that picked a native kernel still gets exact counts,
+        from the NumPy decomposition, once ``REPRO_NATIVE=0`` is set."""
+        eng, p = kernel_engine("cols")
+        cols, w = random_operands(9, 2, 50, p, 3, 8)
+        plan = compile_layer_plan(w, 8, 16)
+        assert eng.remainder_kernel(plan, p) == "cols"
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        profile = []
+        got = eng.matmul(plan, cols, profile=profile)
+        assert np.array_equal(got, exact_counts(cols, w, 8, "einsum"))
+        assert {s[3]["kind"] for s in profile} == {"numpy"}
 
     def test_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
@@ -478,29 +545,22 @@ class TestKernelVariants:
         eng.matmul(plan, cols, out=out)
         assert np.array_equal(truth, out)
 
-    @pytest.mark.parametrize("contraction", ["blas", "einsum"])
-    @pytest.mark.parametrize("kind", list(KERNEL_CASES))
-    def test_matmul_ideal_matches_noisy_path_ideal(self, kind, contraction):
-        """The collapsed signed-BLAS ideal path is bit-exact against the
-        stacked reference for every kernel."""
-        eng, cols, w, b = self._case(22, kind)
-        truth = exact_counts(cols, w, b, contraction)
-        ref = sconna_matmul_reference(cols, w, b, group=8)
-        assert np.array_equal(ref, truth)
-        plan = compile_layer_plan(w, b, 8)
-        assert np.array_equal(truth, eng.matmul_ideal(plan, cols))
-
     def test_float64_cols_operand_matches_int64(self):
-        """The fused path hands the engine C-contiguous float64 columns
-        (used directly as the BLAS operand); results must be identical
-        to the int64-cols call."""
+        """Integer-valued float64 columns, and the C-contiguous uint16
+        columns the fused path hands the engine (the native kernels'
+        operand, used without a copy), give the int64-cols counts, ideal
+        and seeded."""
         for kind in available_kernels():
             eng, cols, w, b = self._case(23, kind)
             plan = compile_layer_plan(w, b, 16)
-            cols_f = np.ascontiguousarray(cols.astype(np.float64))
-            ref = eng.matmul(plan, cols)
-            assert np.array_equal(ref, eng.matmul(plan, cols_f))
-            assert np.array_equal(ref, eng.matmul_ideal(plan, cols_f))
+            for dtype in (np.float64, np.uint16):
+                cols_d = np.ascontiguousarray(cols.astype(dtype))
+                for seed in (None, 8):
+                    def em():
+                        return None if seed is None else SconnaErrorModel(seed=seed)
+
+                    assert np.array_equal(eng.matmul(plan, cols, em()),
+                                          eng.matmul(plan, cols_d, em()))
 
     def test_seeded_noise_identical_across_variants(self):
         """Each native kernel's seeded noisy counts equal the NumPy

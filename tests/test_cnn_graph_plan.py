@@ -5,7 +5,7 @@ per-layer oracle for every zoo proxy, every supported mode, and every
 batch size - the fused path may only ever change wall time.  Also
 locked here: the integer-native seams (an int8/uint8 batch never
 materialises float64 between entry and logits), arena-slot reuse, and
-the kernel rule each sconna stage's remainder kernel comes from, as the
+the kernel rule each sconna stage's count kernel comes from, as the
 plan records it in the model's ``autotune`` dict, and the
 request-parallel split: a noisy per-request batch cut into chunks on
 helper threads returns the unsplit forward's bits.
@@ -186,8 +186,36 @@ class TestKernelRule:
         else:
             assert picks == ["numpy"] * 4
         assert SconnaEngine(use_native=False).remainder_kernel(plan, 64) == "numpy"
-        # B > 8 needs the uint16 low-bits layout, which has no C kernel
+        # B > 8 is outside the native kernels' multiply-high identity
         assert eng.remainder_kernel(_rule_plan(b=12), 64) == "numpy"
+
+    def test_native_sconna_forward_makes_no_blas_call(self, models,
+                                                      monkeypatch):
+        """With the native library a fused sconna forward, noisy or
+        ideal, never calls ``np.matmul``, so BLAS threading cannot reach
+        it; an int8 forward still does."""
+        if not native.native_available():
+            pytest.skip("no native kernel in this environment")
+        calls = []
+        blas = np.matmul
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return blas(*args, **kwargs)
+
+        # the module attribute engine.py and graph_plan.py resolve
+        monkeypatch.setattr(np, "matmul", spy)
+        x = _batch(4, seed=30)
+        for qm in models.values():
+            for em in (
+                PerRequestErrorModels([SconnaErrorModel(seed=s) for s in range(4)]),
+                SconnaErrorModel(seed=3),
+                SconnaErrorModel(adc_mape=0.0),
+            ):
+                qm.forward(x, mode="sconna", error_model=em, fused=True)
+        assert calls == []
+        models["snet_proxy"].forward(x, mode="int8", fused=True)
+        assert calls
 
 
 class TestAutotune:
