@@ -73,7 +73,6 @@ def build_service(admission_policy=None, trace_policy=None):
     qmodel = QuantizedModel.from_trained(model, calib)
     service = SconnaService(
         policy=BatchingPolicy(max_batch_size=32, max_wait_ms=1.0),
-        n_workers=1,
         admission=admission_policy,
         tracer=Tracer(trace_policy),
     )

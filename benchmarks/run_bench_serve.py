@@ -27,12 +27,15 @@ Each record carries sustained requests/s, p50/p95/p99 latency, the
 batch-size histogram, and speedups over batch-1 (and, for process
 records, over the single-process dynamic baseline - the multi-core
 scaling number; on a single-core container expect <= 1x, the sharding
-gain needs real cores).  ``--smoke`` runs a seconds-scale version for
-CI without touching ``BENCH_serve.json``; ``--json-out PATH`` writes the
-run's records wherever asked (the CI bench-regression checker consumes a
-smoke run's output); ``--check-equivalence`` additionally pushes one
-seeded request stream through both backends and fails unless the
-per-request logits are bit-identical.
+gain needs real cores).  Thread-backend records carry ``workers``,
+the pool size ``backend.info()`` reports: one worker per usable core,
+so pin the run with ``taskset`` to compare hosts.  ``--smoke`` runs a
+seconds-scale version for CI without touching ``BENCH_serve.json``;
+``--json-out PATH`` writes the run's records wherever asked (the CI
+bench-regression checker consumes a smoke run's output);
+``--check-equivalence`` additionally pushes one seeded request stream
+through both backends and fails unless the per-request logits are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -67,20 +70,20 @@ def build_registry(root: Path, model_name: str, seed: int = 0):
     return registry, ds
 
 
-def make_service(registry, ds, model_name, *, mode, policy, n_workers,
+def make_service(registry, ds, model_name, *, mode, policy,
                  backend="thread", n_shards=2, trace_policy=None):
     from repro.serve import SconnaService, Tracer
 
     service = SconnaService(
-        policy=policy, n_workers=n_workers, mode=mode,
-        backend=backend, n_shards=n_shards, tracer=Tracer(trace_policy),
+        policy=policy, mode=mode, backend=backend, n_shards=n_shards,
+        tracer=Tracer(trace_policy),
     )
     service.add_from_registry(registry, model_name, warm_shape=ds.images[0].shape)
     return service
 
 
 def run_scenario(
-    registry, ds, model_name, *, mode, policy, n_workers, n_requests,
+    registry, ds, model_name, *, mode, policy, n_requests,
     repeats=1, backend="thread", n_shards=2, images=None, trace_policy=None,
 ):
     """Open-loop drive: async-submit everything, wait for every future.
@@ -98,8 +101,7 @@ def run_scenario(
     for _ in range(max(1, repeats)):
         service = make_service(
             registry, ds, model_name, mode=mode, policy=policy,
-            n_workers=n_workers, backend=backend, n_shards=n_shards,
-            trace_policy=trace_policy,
+            backend=backend, n_shards=n_shards, trace_policy=trace_policy,
         )
         try:
             for i in range(8):  # warm the request path itself
@@ -130,7 +132,7 @@ def run_scenario(
         "backend": backend,
         "shards": n_shards if backend == "process" else None,
         "requests": n_requests,
-        "workers": n_workers,
+        "workers": snap["backend"].get("workers"),
         "max_batch_size": policy.max_batch_size,
         "max_wait_ms": policy.max_wait_ms,
         "wall_time_s": round(wall, 4),
@@ -160,7 +162,7 @@ def run_trace_overhead(registry, ds, model_name, *, n_requests, repeats):
     for variant, trace_policy in variants:
         rec = run_scenario(
             registry, ds, model_name, mode="int8", policy=policy,
-            n_workers=1, n_requests=n_requests, repeats=repeats,
+            n_requests=n_requests, repeats=repeats,
             trace_policy=trace_policy,
         )
         rec["scenario"] = "trace_overhead"
@@ -194,7 +196,7 @@ def check_equivalence(registry, ds, model_name, *, policy, n_shards,
     def drive(backend):
         service = make_service(
             registry, ds, model_name, mode="sconna", policy=policy,
-            n_workers=2, backend=backend, n_shards=n_shards,
+            backend=backend, n_shards=n_shards,
         )
         try:
             futures = [
@@ -250,7 +252,7 @@ def _free_base_port(n: int) -> int:
 
 def run_router_scenario(
     registry_root, ds, model_name, *, n_replicas, n_shards, n_requests,
-    workers, max_batch_size, max_wait_ms,
+    max_batch_size, max_wait_ms,
 ):
     """One replicas x shards point: real replica processes behind the
     routed HTTP front-end, driven open-loop by concurrent keep-alive
@@ -264,7 +266,6 @@ def run_router_scenario(
     from repro.serve.router import spawn_replicas
 
     extra = [
-        "--workers", str(workers),
         "--max-batch-size", str(max_batch_size),
         "--max-wait-ms", str(max_wait_ms),
     ]
@@ -305,6 +306,8 @@ def run_router_scenario(
                 client.predict(
                     ds.images[i % len(ds.images)], model=model_name, seed=i
                 )
+        with SconnaClient(urls[0]) as client:
+            workers = client.metrics()["backend"].get("workers")
         per_client = n_requests // n_clients
         counts = [per_client] * n_clients
         counts[-1] += n_requests - per_client * n_clients
@@ -359,7 +362,7 @@ def run_router_scenario(
 
 
 def run_router_sweep(registry_root, ds, model_name, *, replicas, shards,
-                     n_requests, workers, max_batch_size, max_wait_ms):
+                     n_requests, max_batch_size, max_wait_ms):
     """The replicas x shards grid; tags each record's speedup over the
     1-replica point at the same shard count."""
     records = []
@@ -369,7 +372,7 @@ def run_router_sweep(registry_root, ds, model_name, *, replicas, shards,
             rec = run_router_scenario(
                 registry_root, ds, model_name,
                 n_replicas=n_replicas, n_shards=n_shards,
-                n_requests=n_requests, workers=workers,
+                n_requests=n_requests,
                 max_batch_size=max_batch_size, max_wait_ms=max_wait_ms,
             )
             base = base_by_shards.setdefault(n_shards, rec)
@@ -401,7 +404,6 @@ def main() -> None:
     parser.add_argument("--model", default="mnet_proxy",
                         help="zoo proxy to serve (default: mnet_proxy)")
     parser.add_argument("--requests", type=int, default=1000)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--max-batch-size", type=int, default=64)
     parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--backend", default="both",
@@ -458,7 +460,7 @@ def main() -> None:
             router_records = run_router_sweep(
                 Path(tmp), ds, args.model,
                 replicas=replicas, shards=args.shards,
-                n_requests=args.router_requests, workers=args.workers,
+                n_requests=args.router_requests,
                 max_batch_size=min(args.max_batch_size, 32),
                 max_wait_ms=args.max_wait_ms,
             )
@@ -507,7 +509,7 @@ def main() -> None:
                 batch1 = run_scenario(
                     registry, ds, args.model, mode=mode,
                     policy=BatchingPolicy(max_batch_size=1, max_wait_ms=0.0),
-                    n_workers=1, n_requests=args.requests, repeats=repeats,
+                    n_requests=args.requests, repeats=repeats,
                 )
                 batch1["scenario"] = "batch1"
                 # the sconna datapath's per-image compute peaks at smaller
@@ -519,8 +521,7 @@ def main() -> None:
                     policy=BatchingPolicy(
                         max_batch_size=cap, max_wait_ms=args.max_wait_ms,
                     ),
-                    n_workers=args.workers, n_requests=args.requests,
-                    repeats=repeats,
+                    n_requests=args.requests, repeats=repeats,
                 )
                 dynamic["scenario"] = "dynamic"
                 speedup = dynamic["requests_per_s"] / batch1["requests_per_s"]
@@ -545,7 +546,7 @@ def main() -> None:
                         policy=BatchingPolicy(
                             max_batch_size=1, max_wait_ms=0.0,
                         ),
-                        n_workers=1, n_requests=args.requests,
+                        n_requests=args.requests,
                         repeats=repeats, images=u8,
                     )
                     b1_u8["scenario"] = "batch1"
@@ -555,7 +556,7 @@ def main() -> None:
                             max_batch_size=args.max_batch_size,
                             max_wait_ms=args.max_wait_ms,
                         ),
-                        n_workers=args.workers, n_requests=args.requests,
+                        n_requests=args.requests,
                         repeats=repeats, images=u8,
                     )
                     dyn_u8["scenario"] = "dynamic"
@@ -593,7 +594,6 @@ def main() -> None:
                             max_batch_size=min(args.max_batch_size, 32),
                             max_wait_ms=args.max_wait_ms,
                         ),
-                        n_workers=args.workers,
                         n_requests=args.requests,
                         repeats=repeats + 2, backend="process",
                         n_shards=n_shards,
@@ -616,7 +616,7 @@ def main() -> None:
             records += run_router_sweep(
                 Path(tmp), ds, args.model,
                 replicas=args.replicas, shards=args.shards,
-                n_requests=args.router_requests, workers=args.workers,
+                n_requests=args.router_requests,
                 max_batch_size=min(args.max_batch_size, 32),
                 max_wait_ms=args.max_wait_ms,
             )

@@ -2,7 +2,8 @@
 
 Trains a compact CNN briefly, quantizes it, stores it in a model
 registry, serves it through :class:`repro.serve.SconnaService` with
-dynamic micro-batching on the selected execution backend, and exercises
+dynamic micro-batching on the selected execution backend (one worker
+thread per usable core, or ``--shards`` worker processes), and exercises
 the HTTP endpoint the way an external client would - through
 :class:`repro.serve.SconnaClient` on the binary frame wire (one
 keep-alive connection; `--wire json` falls back to the classic JSON
@@ -14,7 +15,7 @@ requests and reap shard processes, and the service's metrics snapshot
 Run:  PYTHONPATH=src python examples/serve_http_demo.py
       PYTHONPATH=src python examples/serve_http_demo.py --backend process --shards 2
       PYTHONPATH=src python examples/serve_http_demo.py --backend process \
-          --placement snet=0 --affinity auto
+          --placement snet=0
       PYTHONPATH=src python examples/serve_http_demo.py --wire json
       PYTHONPATH=src python examples/serve_http_demo.py --trace --log-requests
 """
@@ -46,11 +47,6 @@ def main() -> None:
                         help="execution backend (default: thread)")
     parser.add_argument("--shards", type=int, default=2,
                         help="worker processes for --backend process")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="worker threads for --backend thread")
-    parser.add_argument("--affinity", default="none",
-                        choices=("auto", "none"),
-                        help="process-backend CPU pinning (default: none)")
     parser.add_argument("--placement", default=None,
                         help="shard placement for the demo model, e.g. "
                              "'snet=0' (default: every shard)")
@@ -72,9 +68,12 @@ def main() -> None:
         from repro.serve import ShardPlacement
 
         try:
-            placement = ShardPlacement.parse(args.placement)
+            policy = ShardPlacement.parse(args.placement)
+            for name in policy.assignments:
+                policy.shards_for(name, args.shards)
         except ValueError as exc:
             parser.error(str(exc))
+        placement = policy.assignments.get("snet")
 
     print("training snet_proxy (short run - this is a serving demo) ...")
     dataset = generate_dataset(n_per_class=60, seed=0)
@@ -90,25 +89,23 @@ def main() -> None:
 
         service = SconnaService(
             policy=BatchingPolicy(max_batch_size=32, max_wait_ms=2.0),
-            n_workers=args.workers,
             backend=args.backend,
             n_shards=args.shards,
-            placement=placement,
-            affinity=None if args.affinity == "none" else args.affinity,
             tracer=Tracer(POLICY_ALWAYS if args.trace else None),
             request_log=StructuredLogger() if args.log_requests else None,
         )
-        service.add_from_registry(registry, "snet", warm_shape=(3, 24, 24))
+        service.add_from_registry(
+            registry, "snet", warm_shape=(3, 24, 24), placement=placement
+        )
         server, _ = serve_http(service)
         # a signal now drains every lane and reaps shard processes
         # instead of leaving orphans behind
         install_shutdown_handlers(service, servers=(server,))
         backend_info = service.backend.info()
         topology = (
-            f"{backend_info.get('shards')} shard processes, "
-            f"affinity {backend_info.get('affinity')}"
+            f"{backend_info['shards']} shard processes"
             if args.backend == "process"
-            else f"{args.workers} worker threads"
+            else f"{backend_info['workers']} worker threads"
         )
         print(f"serving at {server.url}  (POST /v1/predict, backend: "
               f"{backend_info['kind']}, {topology})")

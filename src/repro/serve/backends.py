@@ -10,9 +10,9 @@ coalesced batch exists" to "its logits exist" sits behind the
 
 Two implementations:
 
-* :class:`ThreadBackend` - the classic single-process path: a pool of
-  daemon threads sharing the parent's models.  Bit-identical to the
-  pre-seam service (same stacking, same
+* :class:`ThreadBackend` - the classic single-process path: one daemon
+  thread per usable core, sharing the parent's models.  Bit-identical to
+  the pre-seam service (same stacking, same
   :class:`~repro.stochastic.error_models.PerRequestErrorModels`
   construction, same per-request deterministic ADC noise).
 * :class:`ProcessBackend` - N *shard worker processes*, mirroring the
@@ -52,7 +52,6 @@ from __future__ import annotations
 import abc
 import itertools
 import multiprocessing
-import os
 import queue
 import threading
 import time
@@ -139,8 +138,9 @@ class ShardPlacement:
     those shards ever load its weights.
 
     ``assignments`` is ``{model_name: [slot, ...]}``.  Slots are
-    validated against the backend's shard count at ``add_model`` time,
-    so one policy object can be built before the backend exists.
+    validated against the backend's shard count by :meth:`shards_for`,
+    so a policy can be parsed and checked before any shard exists; each
+    model's slots then go to ``add_model(..., placement=...)``.
     """
 
     def __init__(self, assignments: "dict[str, object] | None" = None) -> None:
@@ -186,10 +186,6 @@ class ShardPlacement:
             except ValueError:
                 raise ValueError(f"bad placement slots in {part!r}") from None
         return cls(assignments)
-
-    def as_dict(self) -> "dict[str, list[int]]":
-        """JSON-serializable ``model -> shard slots`` map."""
-        return {name: list(slots) for name, slots in self.assignments.items()}
 
 
 class ExecutionBackend(abc.ABC):
@@ -244,7 +240,9 @@ _STOP = object()
 class ThreadBackend(ExecutionBackend):
     """In-process execution on a thread pool (the historical datapath).
 
-    ``n_workers`` daemon threads drain one task queue.  The engine's hot
+    One daemon thread per usable core (:func:`~repro.utils.cores.usable_cores`,
+    the count :data:`repro.cnn.graph_plan.CORE_BUDGET` shares among a
+    split forward's chunks) drains one task queue.  The engine's hot
     path releases the GIL inside BLAS (int8) and the native floor-sum
     kernels (sconna), so a few threads exploit whatever parallelism one
     process can reach; per-thread warm buffers come from
@@ -256,10 +254,7 @@ class ThreadBackend(ExecutionBackend):
 
     kind = "thread"
 
-    def __init__(self, n_workers: int = 2) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.n_workers = n_workers
+    def __init__(self) -> None:
         self._tasks: "queue.Queue[object]" = queue.Queue()
         self._task_errors = 0
         self._error_lock = threading.Lock()
@@ -269,7 +264,7 @@ class ThreadBackend(ExecutionBackend):
             threading.Thread(
                 target=self._work, name=f"sconna-worker-{i}", daemon=True
             )
-            for i in range(n_workers)
+            for i in range(len(usable_cores()))
         ]
         for t in self._threads:
             t.start()
@@ -288,7 +283,7 @@ class ThreadBackend(ExecutionBackend):
     def _warm(self, fn, timeout: float = 30.0) -> None:
         """Run ``fn`` once in *every* worker thread: a barrier keeps a
         fast worker from stealing a sibling's warm-up task."""
-        barrier = threading.Barrier(self.n_workers + 1)
+        barrier = threading.Barrier(len(self._threads) + 1)
 
         def warmer() -> None:
             try:
@@ -296,7 +291,7 @@ class ThreadBackend(ExecutionBackend):
             finally:
                 barrier.wait(timeout)
 
-        for _ in range(self.n_workers):
+        for _ in self._threads:
             self._tasks.put(warmer)
         barrier.wait(timeout)
 
@@ -361,7 +356,7 @@ class ThreadBackend(ExecutionBackend):
     def info(self) -> dict:
         return {
             "kind": self.kind,
-            "workers": self.n_workers,
+            "workers": len(self._threads),
             "pending": self._tasks.qsize(),
             "task_errors": self._task_errors,
         }
@@ -423,7 +418,6 @@ class _Shard:
     rx: "ShmArena | None" = None
     tx_alloc: "RingAllocator | None" = None
     tx_offsets: "dict[int, int]" = field(default_factory=dict)  #: bid -> tx offset
-    cpus: "tuple[int, ...] | None" = None   #: CPU pin requested for this shard
     cores: int = 1                   #: the shard's core budget
 
     def send(self, msg: tuple) -> None:
@@ -438,9 +432,7 @@ class _Shard:
                 arena.destroy()
 
 
-def _shard_main(
-    conn, shard_id: int, shm_spec=None, cpus=None, cores: int = 1
-) -> None:
+def _shard_main(conn, shard_id: int, shm_spec=None, cores: int = 1) -> None:
     """Entry point of one shard worker process.
 
     A single-threaded loop: receive a message, act, reply.  One
@@ -463,27 +455,14 @@ def _shard_main(
     graceful drain - the parent alone decides when a shard stops (pipe
     ``stop``/EOF, or SIGTERM as the parent's force-kill fallback).
 
-    ``cpus`` is an optional CPU set to pin this shard to
-    (``ProcessBackend(affinity="auto")``): without a pin the kernel
-    migrates shards between cores, evicting their warm engine buffers
-    from cache; with one, each shard's working set stays resident.
-    Pinning is best-effort - platforms without ``sched_setaffinity``
-    (or a CPU set the kernel rejects) just run unpinned.
-
     ``cores`` is this shard's share of the host, the core budget its
     fused forwards split batches over (see
     :data:`repro.cnn.graph_plan.CORE_BUDGET`): ``max(1, cores //
-    n_shards)``, or the one pinned core, so shards that already fill
-    the host never split.
+    n_shards)``, so shards that already fill the host never split.
     """
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    if cpus and hasattr(os, "sched_setaffinity"):
-        try:
-            os.sched_setaffinity(0, cpus)
-        except OSError:
-            pass  # a core went offline, or the mask is disallowed
 
     from repro.cnn.graph_plan import CORE_BUDGET
     from repro.cnn.serialization import (
@@ -600,14 +579,14 @@ class ProcessBackend(ExecutionBackend):
     """Multi-process sharded execution: N worker processes behind pipes.
 
     Dispatch is least-loaded over the live shards a model is *placed*
-    on (``placement``; default every shard).  Each shard executes its
-    batches serially in arrival order, so a model's ``load`` (sent
-    first, pipe ordering) is always visible before its batches.  Crash
-    handling: the shard's collector thread sees pipe EOF, the backend
-    reaps the process, respawns the slot (replaying the model loads
-    placed there), and redispatches the dead shard's in-flight batches -
-    at-least-once execution whose results are identical because each
-    batch carries its own pickled RNG state.
+    on (``add_model(..., placement=)``; default every shard).  Each
+    shard executes its batches serially in arrival order, so a model's
+    ``load`` (sent first, pipe ordering) is always visible before its
+    batches.  Crash handling: the shard's collector thread sees pipe
+    EOF, the backend reaps the process, respawns the slot (replaying the
+    model loads placed there), and redispatches the dead shard's
+    in-flight batches - at-least-once execution whose results are
+    identical because each batch carries its own pickled RNG state.
 
     **Rings.**  Batch tensors (and result logits on the return path)
     move through two ``multiprocessing.shared_memory`` ring arenas of
@@ -633,31 +612,14 @@ class ProcessBackend(ExecutionBackend):
         self,
         n_shards: int = 2,
         ring_bytes: int = DEFAULT_RING_BYTES,
-        placement: "ShardPlacement | dict | None" = None,
-        affinity: "str | None" = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         if ring_bytes < 1:
             raise ValueError("ring_bytes must be >= 1")
-        if affinity not in (None, "auto"):
-            raise ValueError(f"unknown affinity {affinity!r}; "
-                             "expected 'auto' or None")
-        #: "auto" pins shard slot i to core i (mod the allowed set) so
-        #: shards stop migrating between cores; None leaves scheduling
-        #: to the kernel.  Requires os.sched_setaffinity (Linux) - on
-        #: other platforms the knob is accepted and ignored.
-        self.affinity = affinity
-        self._cores: "tuple[int, ...] | None" = None
-        if affinity == "auto" and hasattr(os, "sched_setaffinity"):
-            self._cores = usable_cores()
-        #: each unpinned shard's core budget: its share of the host
+        #: each shard's core budget: its share of the host
         self._shard_cores = max(1, len(usable_cores()) // n_shards)
         self.ring_bytes = int(ring_bytes)
-        if placement is None or isinstance(placement, ShardPlacement):
-            self.placement = placement
-        else:
-            self.placement = ShardPlacement(placement)
         self._lock = threading.RLock()
         self._drained = threading.Condition(self._lock)
         self._admin_lock = threading.Lock()  # serializes add_model acks
@@ -710,14 +672,10 @@ class ProcessBackend(ExecutionBackend):
             tx_alloc = RingAllocator(self.ring_bytes)
             self.segment_names.update((tx.name, rx.name))
             shm_spec = (tx.name, rx.name, self.ring_bytes)
-        cpus = None
-        if self._cores:
-            cpus = (self._cores[slot % len(self._cores)],)
-        cores = len(cpus) if cpus else self._shard_cores
         parent_conn, child_conn = _MP.Pipe(duplex=True)
         process = _MP.Process(
             target=_shard_main,
-            args=(child_conn, slot, shm_spec, cpus, cores),
+            args=(child_conn, slot, shm_spec, self._shard_cores),
             name=f"sconna-shard-{slot}",
             daemon=True,  # belt: the pipe-EOF exit in _shard_main is the braces
         )
@@ -730,8 +688,8 @@ class ProcessBackend(ExecutionBackend):
             raise
         child_conn.close()  # the parent keeps only its own end
         shard = _Shard(slot=slot, process=process, conn=parent_conn,
-                       tx=tx, rx=rx, tx_alloc=tx_alloc, cpus=cpus,
-                       cores=cores)
+                       tx=tx, rx=rx, tx_alloc=tx_alloc,
+                       cores=self._shard_cores)
         shard.reader = threading.Thread(
             target=self._collect, args=(shard,),
             name=f"sconna-shard-{slot}-collector", daemon=True,
@@ -866,17 +824,12 @@ class ProcessBackend(ExecutionBackend):
 
     # -- model management ------------------------------------------------
     def _resolve_placement(self, name, placement) -> "tuple[int, ...]":
-        """The shard slots hosting ``name``: an explicit per-model
-        subset wins, then the backend's :class:`ShardPlacement` policy,
-        then every shard."""
+        """The shard slots hosting ``name``: the given slots, validated,
+        or every shard."""
         n = len(self._shards)
-        if placement is not None:
-            if isinstance(placement, ShardPlacement):
-                return placement.shards_for(name, n)
-            return ShardPlacement({name: placement}).shards_for(name, n)
-        if self.placement is not None:
-            return self.placement.shards_for(name, n)
-        return tuple(range(n))
+        if placement is None:
+            return tuple(range(n))
+        return ShardPlacement({name: placement}).shards_for(name, n)
 
     def add_model(
         self, name, qmodel, mode, archive=None, warm=None, placement=None
@@ -1027,7 +980,6 @@ class ProcessBackend(ExecutionBackend):
                     "ring_stats": (
                         s.tx_alloc.stats() if s.tx_alloc is not None else None
                     ),
-                    "cpus": None if s.cpus is None else list(s.cpus),
                     "cores": s.cores,
                 }
                 for s in self._shards
@@ -1037,7 +989,6 @@ class ProcessBackend(ExecutionBackend):
                 "shards": len(self._shards),
                 "alive": sum(1 for s in self._shards if s.alive),
                 "restarts": self.restarts,
-                "affinity": self.affinity,
                 "ring_bytes": self.ring_bytes,
                 "shm_batches": self._shm_batches,
                 "pipe_fallbacks": self._pipe_fallbacks,
@@ -1102,23 +1053,17 @@ class ProcessBackend(ExecutionBackend):
 
 
 def make_backend(
-    backend: "ExecutionBackend | str",
-    n_workers: int = 2,
-    n_shards: int = 2,
-    placement: "ShardPlacement | dict | None" = None,
-    affinity: "str | None" = None,
+    backend: "ExecutionBackend | str", n_shards: int = 2
 ) -> ExecutionBackend:
     """Resolve a backend spec: an instance passes through; ``"thread"``
-    and ``"process"`` construct the standard implementations
-    (``placement`` and ``affinity`` apply to the process backend)."""
+    and ``"process"`` (``n_shards`` worker processes) construct the
+    standard implementations."""
     if isinstance(backend, ExecutionBackend):
         return backend
     if backend == "thread":
-        return ThreadBackend(n_workers=n_workers)
+        return ThreadBackend()
     if backend == "process":
-        return ProcessBackend(
-            n_shards=n_shards, placement=placement, affinity=affinity
-        )
+        return ProcessBackend(n_shards=n_shards)
     raise ValueError(
         f"unknown backend {backend!r}; expected 'thread', 'process', "
         "or an ExecutionBackend instance"

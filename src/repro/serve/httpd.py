@@ -88,14 +88,16 @@ Routes::
 Also a standalone server CLI with execution-backend selection::
 
     python -m repro.serve --registry MODELS_DIR \
-        --backend process --shards 4 --affinity auto \
+        --backend process --shards 4 \
         --placement "big=0,1;small=2,3" --max-inflight 256 --port 8000
 
-serves every model in the registry (or ``--model`` picks some), installs
-SIGINT/SIGTERM handlers that drain in-flight requests and reap shard
-processes, blocks until a signal arrives, and prints the aggregated
-backend topology (shards, ring and pipe batch counts, per-model
-placement) on exit.
+serves every model in the registry (or ``--model`` picks some) on one
+worker thread per usable core, or on ``--shards`` worker processes;
+``--placement`` overrides the shard slots a model's manifest stores.
+It installs SIGINT/SIGTERM handlers that drain in-flight requests and
+reap shard processes, blocks until a signal arrives, and prints the
+aggregated backend topology (shards, ring and pipe batch counts,
+per-model placement) on exit.
 """
 
 from __future__ import annotations
@@ -309,10 +311,7 @@ class _ServeHandler(http11.RequestHandler):
 
     def _get_trace(self, service, path: str, params: dict) -> None:
         """``/v1/trace`` list + ``/v1/trace/<id>`` detail + chrome export."""
-        tracer = getattr(service, "tracer", None)
-        if tracer is None:
-            self._send_error(404, "this service has no tracer")
-            return
+        tracer = service.tracer
         trace_id = (
             path[len("/v1/trace/"):] if path.startswith("/v1/trace/") else ""
         )
@@ -351,15 +350,11 @@ class _ServeHandler(http11.RequestHandler):
             self._send_error(404, f"unknown path {self.path!r}")
             return
         service = self.server.service
-        tracer = getattr(service, "tracer", None)
-        trace = None
-        if tracer is not None:
-            # adopt an upstream router's trace id when one rides along,
-            # so router hop and replica span tree share one id
-            trace = tracer.start(
-                "http.request",
-                trace_id=self.headers.get(PARENT_TRACE_HEADER),
-            )
+        # adopt an upstream router's trace id when one rides along, so
+        # router hop and replica span tree share one id
+        trace = service.tracer.start(
+            "http.request", trace_id=self.headers.get(PARENT_TRACE_HEADER),
+        )
         self._trace = trace
         self._last_status = 0
         started = time.monotonic()
@@ -368,11 +363,8 @@ class _ServeHandler(http11.RequestHandler):
             model, resp_type = self._predict_route(service, query, trace)
         finally:
             status = self._last_status
-            if tracer is not None:
-                tracer.finish(trace, status=status, wire=resp_type)
-            log = getattr(self.server, "request_log", None)
-            if log is None:
-                log = getattr(service, "request_log", None)
+            service.tracer.finish(trace, status=status, wire=resp_type)
+            log = service.request_log
             if log is not None:
                 log.log_request(
                     trace=trace,
@@ -701,17 +693,11 @@ def main(argv: "list[str] | None" = None) -> None:
                         help="execution backend (default: thread)")
     parser.add_argument("--shards", type=int, default=2,
                         help="worker processes for --backend process")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="worker threads for --backend thread")
-    parser.add_argument("--affinity", default="none",
-                        choices=("auto", "none"),
-                        help="process-backend CPU pinning: 'auto' pins shard "
-                             "i to core i so shards stop migrating "
-                             "(default: none)")
     parser.add_argument("--placement", default=None,
                         help="per-model shard placement, e.g. "
-                             "'modelA=0,1;modelB=2' (default: every model "
-                             "on every shard)")
+                             "'modelA=0,1;modelB=2'; overrides a manifest's "
+                             "placement (default: the manifest's, else "
+                             "every shard)")
     parser.add_argument("--max-batch-size", type=int, default=32)
     parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--max-inflight", type=int, default=None,
@@ -747,19 +733,20 @@ def main(argv: "list[str] | None" = None) -> None:
     names = args.model or registry.names()
     if not names:
         parser.error(f"registry {args.registry!r} has no models")
-    placement = None
+    placement: "dict[str, tuple[int, ...]]" = {}
     if args.placement is not None:
         from repro.serve.backends import ShardPlacement
 
         try:
-            placement = ShardPlacement.parse(args.placement)
+            policy = ShardPlacement.parse(args.placement)
             # validate slot ranges *before* any shard process exists,
             # so a typo'd slot is a usage error, not a traceback over a
             # half-built service
-            for model_name in placement.assignments:
-                placement.shards_for(model_name, args.shards)
+            for model_name in policy.assignments:
+                policy.shards_for(model_name, args.shards)
         except ValueError as exc:
             parser.error(str(exc))
+        placement = policy.assignments
     admission = None
     if args.max_inflight is not None or args.max_queued_mb is not None:
         admission = AdmissionPolicy(
@@ -784,18 +771,18 @@ def main(argv: "list[str] | None" = None) -> None:
         policy=BatchingPolicy(
             max_batch_size=args.max_batch_size, max_wait_ms=args.max_wait_ms
         ),
-        n_workers=args.workers,
         mode=args.mode,
         backend=args.backend,
         n_shards=args.shards,
-        placement=placement,
         admission=admission,
-        affinity=None if args.affinity == "none" else args.affinity,
         tracer=tracer,
         request_log=request_log,
     )
     for name in names:
-        service.add_from_registry(registry, name)
+        # --placement overrides the manifest's slots for the models it names
+        service.add_from_registry(
+            registry, name, placement=placement.get(name)
+        )
     server, _ = serve_http(
         service, host=args.host, port=args.port, replica_id=args.replica_id,
     )
@@ -805,10 +792,9 @@ def main(argv: "list[str] | None" = None) -> None:
     handlers = install_shutdown_handlers(service, servers=(server,), chain=False)
     backend_info = service.backend.info()
     if args.backend == "process":
-        topology = (f"shards={backend_info.get('shards')}, "
-                    f"affinity={backend_info.get('affinity')}")
+        topology = f"shards={backend_info['shards']}"
     else:
-        topology = f"workers={args.workers}"
+        topology = f"workers={backend_info['workers']}"
     if request_log is not None:
         request_log.log("serve.start", url=server.url, models=names,
                         backend=backend_info["kind"], topology=topology,

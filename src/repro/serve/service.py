@@ -95,13 +95,10 @@ class SconnaService:
     def __init__(
         self,
         policy: BatchingPolicy | None = None,
-        n_workers: int = 2,
         mode: str = "sconna",
         backend: "ExecutionBackend | str" = "thread",
         n_shards: int = 2,
-        placement: "object | None" = None,
         admission: "AdmissionPolicy | None" = None,
-        affinity: "str | None" = None,
         tracer: "Tracer | None" = None,
         request_log: "object | None" = None,
     ) -> None:
@@ -118,10 +115,7 @@ class SconnaService:
         #: per-request lines through.
         self.tracer = tracer if tracer is not None else Tracer()
         self.request_log = request_log
-        self._backend = make_backend(
-            backend, n_workers=n_workers, n_shards=n_shards,
-            placement=placement, affinity=affinity,
-        )
+        self._backend = make_backend(backend, n_shards=n_shards)
         self._models: "dict[str, _ModelEntry]" = {}
         self._ids = itertools.count(1)
         self._closed = False
@@ -156,9 +150,10 @@ class SconnaService:
         does not pay allocation costs.  ``archive`` is the model's NPZ
         path when one exists (e.g. from a registry): the process backend
         has its shards load from it instead of re-serializing.
-        ``placement`` routes this model's lane to a shard-slot subset
-        under the process backend (default: every shard); only those
-        shards load the model, and its batches dispatch only to them.
+        ``placement`` (a list of shard slots) routes this model's lane to
+        that subset under the process backend (default: every shard);
+        only those shards load the model, and its batches dispatch only
+        to them.
         """
         if self._closed:
             raise RuntimeError("service is closed")

@@ -115,7 +115,7 @@ class TestServeMetricsMerge:
 class TestThreadBackendSeam:
     def test_explicit_backend_instance(self, setup):
         qm, ds = setup
-        backend = ThreadBackend(n_workers=1)
+        backend = ThreadBackend()
         svc = SconnaService(policy=POLICY, backend=backend)
         svc.add_model("tiny", qm)
         try:
@@ -137,13 +137,20 @@ class TestThreadBackendSeam:
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("gpu")
 
-    def test_pool_warms_each_worker_and_survives_a_raising_task(self):
-        """Warm-up runs once in every worker (barrier-synchronised), a
-        task that raises only bumps ``task_errors``, and close() drains
-        the queue and joins every worker."""
+    def test_pool_warms_each_worker_and_survives_a_raising_task(
+        self, monkeypatch
+    ):
+        """The pool starts one worker per usable core, warm-up runs once
+        in every worker (barrier-synchronised), a task that raises only
+        bumps ``task_errors``, and close() drains the queue and joins
+        every worker."""
         import threading
 
-        backend = ThreadBackend(n_workers=3)
+        from repro.serve import backends
+
+        monkeypatch.setattr(backends, "usable_cores", lambda: (0, 1, 2))
+        backend = ThreadBackend()
+        assert backend.info()["workers"] == 3
         seen, lock = [], threading.Lock()
 
         def record() -> None:
@@ -193,7 +200,7 @@ class TestProcessBackend:
         request.  The pipe leg's 64-byte rings hold no batch, so every
         batch takes the pipe fallback."""
         qm, ds = setup
-        thread_svc = SconnaService(policy=POLICY, n_workers=2)
+        thread_svc = SconnaService(policy=POLICY)
         thread_svc.add_model("tiny", qm)
         pipe_svc = SconnaService(
             policy=POLICY, backend=ProcessBackend(n_shards=1, ring_bytes=64)
@@ -365,39 +372,6 @@ class TestProcessBackend:
     def test_backend_validation(self):
         with pytest.raises(ValueError):
             ProcessBackend(n_shards=0)
-        with pytest.raises(ValueError):
-            ProcessBackend(affinity="spread")
-
-    def test_affinity_auto_pins_round_robin(self, setup):
-        """affinity="auto" assigns shard i to core i (mod the allowed
-        set), surfaces the pin in info(), and still serves correctly."""
-        import os
-
-        qm, ds = setup
-        svc = SconnaService(policy=POLICY, backend="process", n_shards=2,
-                            affinity="auto")
-        try:
-            svc.add_model("tiny", qm)
-            pred = svc.predict("tiny", ds.images[0], seed=1, timeout=120.0)
-            assert pred.logits.shape == (1, N_CLASSES)
-            info = svc.backend.info()
-            assert info["affinity"] == "auto"
-            cpus = [s["cpus"] for s in info["per_shard"]]
-            if hasattr(os, "sched_getaffinity"):
-                cores = sorted(os.sched_getaffinity(0))
-                expected = [[cores[slot % len(cores)]] for slot in range(2)]
-                assert cpus == expected
-                # a pinned shard's budget is its one core
-                assert [s["cores"] for s in info["per_shard"]] == [1, 1]
-            else:  # knob accepted and ignored off-Linux
-                assert cpus == [None, None]
-        finally:
-            svc.close()
-
-    def test_affinity_defaults_off(self, setup, process_service):
-        info = process_service.backend.info()
-        assert info["affinity"] is None
-        assert all(s["cpus"] is None for s in info["per_shard"])
 
 
 class TestShutdownHandlers:
@@ -405,7 +379,7 @@ class TestShutdownHandlers:
         qm, ds = setup
         previous_int = signal.getsignal(signal.SIGINT)
         previous_term = signal.getsignal(signal.SIGTERM)
-        svc = SconnaService(policy=POLICY, n_workers=1)
+        svc = SconnaService(policy=POLICY)
         svc.add_model("tiny", qm)
         server, _ = serve_http(svc)
         handlers = install_shutdown_handlers(
@@ -428,7 +402,7 @@ class TestShutdownHandlers:
 
     def test_trigger_is_idempotent(self, setup):
         qm, _ = setup
-        svc = SconnaService(policy=POLICY, n_workers=1)
+        svc = SconnaService(policy=POLICY)
         svc.add_model("tiny", qm)
         handlers = install_shutdown_handlers(svc, chain=False)
         handlers.trigger(signal.SIGINT)

@@ -54,7 +54,7 @@ def setup():
 def served(setup):
     qm, _ = setup
     svc = SconnaService(
-        policy=BatchingPolicy(max_batch_size=8, max_wait_ms=2.0), n_workers=2
+        policy=BatchingPolicy(max_batch_size=8, max_wait_ms=2.0)
     )
     svc.add_model("tiny", qm)
     server, _ = serve_http(svc)
@@ -283,9 +283,7 @@ class TestKeepAliveAndErrors:
 
 class TestAdmission:
     def make_service(self, qm, **admission_kwargs):
-        svc = SconnaService(
-            n_workers=1, admission=AdmissionPolicy(**admission_kwargs)
-        )
+        svc = SconnaService(admission=AdmissionPolicy(**admission_kwargs))
         svc.add_model("tiny", qm)
         return svc
 
@@ -313,7 +311,6 @@ class TestAdmission:
         after the first completes the service admits again."""
         qm, ds = setup
         svc = SconnaService(
-            n_workers=1,
             policy=BatchingPolicy(max_batch_size=8, max_wait_ms=500.0,
                                   min_fill=8),
             admission=AdmissionPolicy(max_inflight=1),

@@ -77,7 +77,7 @@ def replicas(setup):
     for name in ("replica-a", "replica-b"):
         svc = SconnaService(
             policy=BatchingPolicy(max_batch_size=8, max_wait_ms=1.0),
-            n_workers=1, tracer=Tracer(TracePolicy(sample_rate=1.0)),
+            tracer=Tracer(TracePolicy(sample_rate=1.0)),
         )
         svc.add_model("tiny", qm)
         server, _ = serve_http(svc, replica_id=name)
@@ -208,8 +208,7 @@ class TestRelayFraming:
         reaches the client before the last image has been computed."""
         qm, ds = setup
         gated = _GatedModel(qm)
-        svc = SconnaService(policy=BatchingPolicy(max_batch_size=1),
-                            n_workers=1)
+        svc = SconnaService(policy=BatchingPolicy(max_batch_size=1))
         svc.add_model("gated", gated)
         server, _ = serve_http(svc)
         router = _make_router([server.url])
@@ -319,7 +318,7 @@ class TestHealthAndFailover:
             assert dead.ejections == 1
             assert [r.url for r in router.candidates("tiny")] == [live]
             # the replica comes back on the same port...
-            svc = SconnaService(n_workers=1)
+            svc = SconnaService()
             svc.add_model("tiny", qm)
             server, _ = serve_http(svc, port=port, replica_id="revived")
             try:
@@ -537,7 +536,7 @@ class TestKillUnderLoad:
         registry.save("tiny", qm)
         processes, urls = spawn_replicas(
             str(tmp_path / "models"), 2, _free_port(),
-            extra_args=["--workers", "1", "--max-wait-ms", "1"],
+            extra_args=["--max-wait-ms", "1"],
             wait_s=60.0,
         )
         router = _make_router(

@@ -38,7 +38,7 @@ def setup():
 def service(setup):
     qm, _ = setup
     svc = SconnaService(
-        policy=BatchingPolicy(max_batch_size=8, max_wait_ms=2.0), n_workers=2
+        policy=BatchingPolicy(max_batch_size=8, max_wait_ms=2.0)
     )
     svc.add_model("tiny", qm)
     yield svc
@@ -113,7 +113,7 @@ class TestPredict:
 
     def test_close_then_predict_raises(self, setup):
         qm, ds = setup
-        svc = SconnaService(n_workers=1)
+        svc = SconnaService()
         svc.add_model("m", qm)
         svc.close()
         with pytest.raises(RuntimeError):
@@ -175,7 +175,7 @@ class TestMetricsAndErrors:
 
     def test_inference_failure_routed_to_future(self, setup):
         qm, ds = setup
-        svc = SconnaService(n_workers=1)
+        svc = SconnaService()
         svc.add_model("m", qm)
         try:
             bad = np.zeros((1, 3, 10, 10))  # wrong spatial dims for the FC
@@ -220,7 +220,7 @@ class TestHTTP:
         qm, ds = setup
         registry = ModelRegistry(tmp_path)
         registry.save("tiny", qm, arch_model="MobileNet_V2")
-        svc = SconnaService(n_workers=1)
+        svc = SconnaService()
         svc.add_from_registry(registry, "tiny")
         server, _ = serve_http(svc)
         try:
@@ -264,7 +264,7 @@ class TestHTTP:
 
     def test_http_error_statuses(self, setup):
         qm, ds = setup
-        svc = SconnaService(n_workers=1)
+        svc = SconnaService()
         svc.add_model("tiny", qm)
         server, _ = serve_http(svc)
         try:
@@ -291,7 +291,7 @@ class TestHTTP:
 
     def test_model_field_optional_with_single_model(self, setup):
         qm, ds = setup
-        svc = SconnaService(n_workers=1)
+        svc = SconnaService()
         svc.add_model("only", qm)
         server, _ = serve_http(svc)
         try:

@@ -163,9 +163,9 @@ class TestShmArena:
 
 
 class TestShardPlacement:
-    def test_parse_and_as_dict(self):
+    def test_parse(self):
         p = ShardPlacement.parse("a=0,1;b=2")
-        assert p.as_dict() == {"a": [0, 1], "b": [2]}
+        assert p.assignments == {"a": (0, 1), "b": (2,)}
         assert p.shards_for("a", 4) == (0, 1)
         assert p.shards_for("unplaced", 3) == (0, 1, 2)
 
@@ -354,11 +354,9 @@ class TestShmTransport:
 class TestPlacementRouting:
     def test_model_runs_only_on_placed_shards(self, setup):
         qm, ds = setup
-        backend = ProcessBackend(
-            n_shards=2, placement=ShardPlacement({"tiny": [1]})
-        )
+        backend = ProcessBackend(n_shards=2)
         svc = SconnaService(policy=POLICY, backend=backend)
-        svc.add_model("tiny", qm)
+        svc.add_model("tiny", qm, placement=[1])
         try:
             futs = [
                 svc.predict_async("tiny", ds.images[i % 6], seed=i)
@@ -397,3 +395,34 @@ class TestPlacementRouting:
             assert info["placement"] == {"tiny": [0]}
         finally:
             svc.close()
+
+    def test_cli_placement_overrides_manifest(self, setup, tmp_path):
+        """``python -m repro.serve --placement`` wins over the slots a
+        model's manifest stores."""
+        import socket
+
+        from repro.serve import SconnaClient
+        from repro.serve.router import spawn_replicas
+
+        qm, ds = setup
+        ModelRegistry(tmp_path).save("tiny", qm, placement=[0])
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        processes, (url,) = spawn_replicas(
+            str(tmp_path), 1, port,
+            extra_args=["--backend", "process", "--shards", "2",
+                        "--placement", "tiny=1"],
+            wait_s=60.0,
+        )
+        try:
+            with SconnaClient(url) as client:
+                placement = client.metrics()["backend"]["placement"]
+                pred = client.predict(ds.images[0], model="tiny", seed=0)
+        finally:
+            for proc in processes:
+                proc.terminate()
+            for proc in processes:
+                proc.wait(timeout=30.0)
+        assert placement == {"tiny": [1]}
+        assert pred.logits.shape == (1, N_CLASSES)

@@ -65,8 +65,7 @@ def span_names(trace):
 class TestThreadBackendTraces:
     def test_span_tree_covers_the_request_path(self, setup):
         qm, ds = setup
-        svc = traced_service(qm, n_workers=2,
-                             admission=AdmissionPolicy(max_inflight=16))
+        svc = traced_service(qm, admission=AdmissionPolicy(max_inflight=16))
         try:
             svc.predict("tiny", ds.images[0], seed=1)
         finally:
@@ -93,8 +92,7 @@ class TestThreadBackendTraces:
 
     def test_tracing_off_stores_nothing(self, setup):
         qm, ds = setup
-        svc = SconnaService(policy=POLICY, tracer=Tracer(POLICY_OFF),
-                            n_workers=1)
+        svc = SconnaService(policy=POLICY, tracer=Tracer(POLICY_OFF))
         svc.add_model("tiny", qm)
         try:
             svc.predict("tiny", ds.images[0], seed=1)
@@ -107,8 +105,7 @@ class TestThreadBackendTraces:
         qm, ds = setup
         results = {}
         for key, policy in (("off", POLICY_OFF), ("on", POLICY_ALWAYS)):
-            svc = SconnaService(policy=POLICY, tracer=Tracer(policy),
-                                n_workers=1)
+            svc = SconnaService(policy=POLICY, tracer=Tracer(policy))
             svc.add_model("tiny", qm)
             try:
                 results[key] = svc.predict("tiny", ds.images[:3], seed=7)
@@ -119,8 +116,7 @@ class TestThreadBackendTraces:
     def test_shed_request_traces_the_admission_decision(self, setup):
         qm, ds = setup
         svc = traced_service(
-            qm, n_workers=1,
-            admission=AdmissionPolicy(max_queued_bytes=1),
+            qm, admission=AdmissionPolicy(max_queued_bytes=1),
         )
         try:
             with pytest.raises(Exception, match="admission|shed|bytes"):
@@ -258,7 +254,7 @@ class TestHTTPSurface:
         qm, _ = setup
         log_stream = io.StringIO()
         svc = SconnaService(
-            policy=POLICY, n_workers=2, tracer=Tracer(POLICY_ALWAYS),
+            policy=POLICY, tracer=Tracer(POLICY_ALWAYS),
             request_log=StructuredLogger(log_stream),
         )
         svc.add_model("tiny", qm)
@@ -367,7 +363,7 @@ class TestHTTPSurface:
         admitted = []
         for _ in range(2):
             svc = SconnaService(
-                policy=POLICY, n_workers=1,
+                policy=POLICY,
                 tracer=Tracer(TracePolicy(sample_rate=0.5, seed=7)),
             )
             svc.add_model("tiny", qm)
@@ -396,8 +392,7 @@ class TestServeCLI:
             port = sock.getsockname()[1]
         processes, (url,) = spawn_replicas(
             str(tmp_path), 1, port,
-            extra_args=["--workers", "1", "--trace-sample-rate", "1",
-                        "--trace-capacity", "3"],
+            extra_args=["--trace-sample-rate", "1", "--trace-capacity", "3"],
             wait_s=60.0,
         )
         try:

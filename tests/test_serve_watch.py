@@ -447,7 +447,6 @@ def fleet(setup):
     for name in ("replica-a", "replica-b"):
         svc = SconnaService(
             policy=BatchingPolicy(max_batch_size=8, max_wait_ms=1.0),
-            n_workers=1,
         )
         svc.add_model("tiny", qm)
         server, _ = serve_http(svc, replica_id=name)
@@ -589,7 +588,7 @@ class TestAutoDrainEndToEnd:
         registry.save("tiny", qm)
         processes, urls = spawn_replicas(
             str(tmp_path / "models"), 2, _free_port(),
-            extra_args=["--workers", "1", "--max-wait-ms", "1"],
+            extra_args=["--max-wait-ms", "1"],
             wait_s=60.0,
         )
         router = Router(
