@@ -252,7 +252,7 @@ def _free_base_port(n: int) -> int:
 
 def run_router_scenario(
     registry_root, ds, model_name, *, n_replicas, n_shards, n_requests,
-    max_batch_size, max_wait_ms,
+    max_batch_size,
 ):
     """One replicas x shards point: real replica processes behind the
     routed HTTP front-end, driven open-loop by concurrent keep-alive
@@ -265,10 +265,7 @@ def run_router_scenario(
     from repro.serve.metrics import percentile
     from repro.serve.router import spawn_replicas
 
-    extra = [
-        "--max-batch-size", str(max_batch_size),
-        "--max-wait-ms", str(max_wait_ms),
-    ]
+    extra = ["--max-batch-size", str(max_batch_size)]
     if n_shards:
         extra += ["--backend", "process", "--shards", str(n_shards)]
     processes, urls = spawn_replicas(
@@ -350,7 +347,6 @@ def run_router_scenario(
         "workers": workers,
         "clients": n_clients,
         "max_batch_size": max_batch_size,
-        "max_wait_ms": max_wait_ms,
         "wall_time_s": round(wall, 4),
         "requests_per_s": round(n_requests / wall, 1),
         "latency_p50_ms": round(1e3 * percentile(latencies, 50.0), 3),
@@ -362,7 +358,7 @@ def run_router_scenario(
 
 
 def run_router_sweep(registry_root, ds, model_name, *, replicas, shards,
-                     n_requests, max_batch_size, max_wait_ms):
+                     n_requests, max_batch_size):
     """The replicas x shards grid; tags each record's speedup over the
     1-replica point at the same shard count."""
     records = []
@@ -373,7 +369,7 @@ def run_router_sweep(registry_root, ds, model_name, *, replicas, shards,
                 registry_root, ds, model_name,
                 n_replicas=n_replicas, n_shards=n_shards,
                 n_requests=n_requests,
-                max_batch_size=max_batch_size, max_wait_ms=max_wait_ms,
+                max_batch_size=max_batch_size,
             )
             base = base_by_shards.setdefault(n_shards, rec)
             if rec is not base:
@@ -462,7 +458,6 @@ def main() -> None:
                 replicas=replicas, shards=args.shards,
                 n_requests=args.router_requests,
                 max_batch_size=min(args.max_batch_size, 32),
-                max_wait_ms=args.max_wait_ms,
             )
         if args.json_out:
             Path(args.json_out).write_text(
@@ -618,7 +613,6 @@ def main() -> None:
                 replicas=args.replicas, shards=args.shards,
                 n_requests=args.router_requests,
                 max_batch_size=min(args.max_batch_size, 32),
-                max_wait_ms=args.max_wait_ms,
             )
 
     payload = {

@@ -17,8 +17,8 @@ cost):
   loading models through the NPZ serialization, with crash respawn,
   in-flight redispatch, and per-model :class:`ShardPlacement`),
 * :mod:`repro.serve.shm`       - the shared-memory ring transport the
-  process backend moves batch tensors and logits through (descriptors
-  on the pipe, payload bytes in ``/dev/shm``),
+  process backend moves batch tensors through (descriptors on the pipe,
+  payload bytes in ``/dev/shm``; logits return on the pipe),
 * :mod:`repro.serve.service`  - the :class:`SconnaService` facade
   (in-process ``predict``) plus :func:`install_shutdown_handlers` for
   signal-driven draining,

@@ -20,15 +20,16 @@ Two implementations:
   owns a full Python runtime (its own GIL, BLAS pools, warm engine
   buffers) and loads models through the NPZ serialization - from the
   shared registry's archive when one exists, from in-memory archive
-  bytes otherwise.  Batch tensors travel through per-shard
-  ``multiprocessing.shared_memory`` rings with only descriptors on the
-  pipe; a batch rides the pipe itself only when its shard's ring is
-  full, too small for it, or missing.  Results return on per-shard
-  collector threads.  :class:`ShardPlacement` routes each model to a
-  shard subset (default: all).  A shard that dies is reaped, respawned
-  (up to :data:`MAX_RESTARTS`), its placed models reloaded, its shm
-  rings unlinked and recreated, and its in-flight batches redispatched
-  to live shards.
+  bytes otherwise.  Batch tensors travel through one
+  ``multiprocessing.shared_memory`` ring per shard with only descriptors
+  on the pipe; a batch rides the pipe itself only when its shard's ring
+  is full, too small for it, or missing.  Logits return in the shard's
+  reply on the pipe, read by per-shard collector threads.
+  :class:`ShardPlacement` routes each model to a shard subset (default:
+  all).  A shard that dies is reaped, respawned (up to
+  :data:`MAX_RESTARTS`), its placed models reloaded, its ring unlinked
+  and recreated, and its in-flight batches redispatched to live
+  shards.
 
 Both backends execute a batch through one function,
 :func:`execute_batch`, and warm a model through :func:`warm_up`.
@@ -412,10 +413,9 @@ class _Shard:
     reader: "threading.Thread | None" = None
     alive: bool = True
     expected_exit: bool = False
-    #: parent-owned rings (None when /dev/shm could not hold them): tx
-    #: carries batch tensors parent->shard, rx carries logits back
+    #: the parent-owned ring carrying batch tensors parent->shard (None
+    #: when /dev/shm could not hold it)
     tx: "ShmArena | None" = None
-    rx: "ShmArena | None" = None
     tx_alloc: "RingAllocator | None" = None
     tx_offsets: "dict[int, int]" = field(default_factory=dict)  #: bid -> tx offset
     cores: int = 1                   #: the shard's core budget
@@ -424,12 +424,11 @@ class _Shard:
         with self.send_lock:
             self.conn.send(msg)
 
-    def destroy_arenas(self) -> None:
-        """Owner-side teardown of both rings (idempotent; the parent is
+    def destroy_ring(self) -> None:
+        """Owner-side teardown of the ring (idempotent; the parent is
         the only process that ever unlinks)."""
-        for arena in (self.tx, self.rx):
-            if arena is not None:
-                arena.destroy()
+        if self.tx is not None:
+            self.tx.destroy()
 
 
 def _shard_main(conn, shard_id: int, shm_spec=None, cores: int = 1) -> None:
@@ -442,13 +441,11 @@ def _shard_main(conn, shard_id: int, shm_spec=None, cores: int = 1) -> None:
     ``stop`` message or when the pipe reaches EOF (the parent died), so
     shards can never outlive their parent as orphans.
 
-    ``shm_spec`` is ``(tx_name, rx_name, ring_bytes)``, or ``None`` for
-    a shard without rings: the shard *attaches* to the parent-owned
-    arenas (never creates or unlinks them).  A ``batch`` message carries
-    its images either as an array or as a :class:`ShmDescriptor` into
-    tx; the ``ok`` reply likewise carries the logits through rx when
-    that ring has room and as an array otherwise.  The shard-side rx
-    allocator reclaims regions on the parent's ``freerx`` messages.
+    ``shm_spec`` is ``(tx_name, ring_bytes)``, or ``None`` for a shard
+    without a ring: the shard *attaches* to the parent-owned arena
+    (never creates or unlinks it).  A ``batch`` message carries its
+    images either as an array or as a :class:`ShmDescriptor` into tx;
+    the ``ok`` reply carries the logits as an array.
 
     SIGINT is ignored: a terminal Ctrl-C signals the whole foreground
     process group, and shards dying mid-batch would defeat the parent's
@@ -472,12 +469,7 @@ def _shard_main(conn, shard_id: int, shm_spec=None, cores: int = 1) -> None:
 
     CORE_BUDGET.cores = cores
 
-    tx = rx = rx_alloc = None
-    if shm_spec is not None:
-        tx_name, rx_name, ring_bytes = shm_spec
-        tx = attach_arena(tx_name, ring_bytes)
-        rx = attach_arena(rx_name, ring_bytes)
-        rx_alloc = RingAllocator(ring_bytes)
+    tx = attach_arena(*shm_spec) if shm_spec is not None else None
 
     def run_batch(bid, name, images, emodels, sizes, tctx) -> tuple:
         # ``tctx`` is the parent's span context (piggybacked on the
@@ -498,7 +490,7 @@ def _shard_main(conn, shard_id: int, shm_spec=None, cores: int = 1) -> None:
                 # zero-copy: the parent keeps this tx region allocated
                 # until our reply arrives, and the reply is only sent
                 # after forward() is done with the view
-                images = tx.read_array(images, copy=False)
+                images = tx.read_array(images)
             logits = execute_batch(*entry, images, emodels, sizes, profile)
         except BaseException as exc:
             return ("err", bid, exc)
@@ -510,11 +502,6 @@ def _shard_main(conn, shard_id: int, shm_spec=None, cores: int = 1) -> None:
                 (n, s, e, dict(tags, shard=shard_id))
                 for n, s, e, tags in profile or ()
             )
-        if rx_alloc is not None:
-            logits = np.ascontiguousarray(logits)
-            offset = rx_alloc.alloc(logits.nbytes)
-            if offset is not None:
-                logits = rx.write_array(offset, logits)
         return ("ok", bid, logits, spans)
 
     models: "dict[str, tuple[object, str]]" = {}
@@ -543,16 +530,8 @@ def _shard_main(conn, shard_id: int, shm_spec=None, cores: int = 1) -> None:
             _shard_reply(conn, reply)
         elif op == "batch":
             _shard_reply(conn, run_batch(*msg[1:]))
-        elif op == "freerx":
-            try:
-                rx_alloc.free(msg[1])
-            except KeyError:
-                # a duplicate free: losing one is recoverable, dying
-                # mid-serve is not
-                pass
-    for arena in (tx, rx):
-        if arena is not None:
-            arena.close()  # attachment only - the parent owns the unlink
+    if tx is not None:
+        tx.close()  # attachment only - the parent owns the unlink
     try:
         conn.close()
     except OSError:
@@ -588,22 +567,22 @@ class ProcessBackend(ExecutionBackend):
     in-flight batches - at-least-once execution whose results are
     identical because each batch carries its own pickled RNG state.
 
-    **Rings.**  Batch tensors (and result logits on the return path)
-    move through two ``multiprocessing.shared_memory`` ring arenas of
-    ``ring_bytes`` per shard; only a small descriptor (offset, shape,
-    dtype) plus the request ids and pickled RNG state cross the pipe.
-    The parent owns both arenas of every shard: it allocates tx regions
-    (freed when that batch's reply arrives - the single-threaded shard
-    is necessarily done reading by then), reads rx logits (freed
-    shard-side on the parent's ``freerx`` message), and **unlinks both
-    segments** on shard death, respawn and ``close()`` - no
+    **Rings.**  Batch tensors move through one
+    ``multiprocessing.shared_memory`` ring arena of ``ring_bytes`` per
+    shard; only a small descriptor (offset, shape, dtype) plus the
+    request ids and pickled RNG state cross the pipe.  The logits, a few
+    bytes per image against kilobytes of pixels, come back inside the
+    shard's ``ok`` reply.  The parent owns every ring: it allocates a
+    region per batch (freed when that batch's reply arrives - the
+    single-threaded shard is necessarily done reading by then) and
+    **unlinks the segment** on shard death, respawn and ``close()`` - no
     ``/dev/shm/repro_*`` segment survives the backend, even when a shard
     dies mid-batch.  A batch goes onto the pipe itself only when its
     shard's ring is full, too small for it, or missing (``/dev/shm``
-    could not hold the rings when the shard was spawned, so it runs
-    without them); backpressure bounds memory without stalling
-    dispatch.  Bytes move verbatim either way, so a seeded request's
-    logits do not depend on which path carried it.
+    could not hold the ring when the shard was spawned, so it runs
+    without one); backpressure bounds memory without stalling dispatch.
+    Bytes move verbatim either way, so a seeded request's logits do not
+    depend on which path carried it.
     """
 
     kind = "process"
@@ -649,19 +628,15 @@ class ProcessBackend(ExecutionBackend):
 
     # -- shard lifecycle -------------------------------------------------
     def _spawn(self, slot: int) -> _Shard:
-        """Start the worker for ``slot`` with fresh rings - or without
-        any when ``/dev/shm`` is absent, unwritable or too small for them
+        """Start the worker for ``slot`` with a fresh ring - or without
+        one when ``/dev/shm`` is absent, unwritable or too small for it
         (``ShmArena`` commits its pages, so a full tmpfs is a clean
         ``OSError`` here rather than a SIGBUS mid-serve): that shard
         then takes every batch over the pipe."""
-        tx = rx = tx_alloc = shm_spec = None
+        tx = tx_alloc = shm_spec = None
         try:
             tx = ShmArena(self.ring_bytes)
-            rx = ShmArena(self.ring_bytes)
         except OSError as exc:
-            if tx is not None:
-                tx.destroy()
-            tx = None
             warnings.warn(
                 f"shard {slot} starts without shared-memory rings "
                 f"({type(exc).__name__}: {exc}); its batches go over the "
@@ -670,8 +645,8 @@ class ProcessBackend(ExecutionBackend):
             )
         else:
             tx_alloc = RingAllocator(self.ring_bytes)
-            self.segment_names.update((tx.name, rx.name))
-            shm_spec = (tx.name, rx.name, self.ring_bytes)
+            self.segment_names.add(tx.name)
+            shm_spec = (tx.name, self.ring_bytes)
         parent_conn, child_conn = _MP.Pipe(duplex=True)
         process = _MP.Process(
             target=_shard_main,
@@ -682,13 +657,12 @@ class ProcessBackend(ExecutionBackend):
         try:
             process.start()
         except BaseException:
-            for arena in (tx, rx):
-                if arena is not None:
-                    arena.destroy()
+            if tx is not None:
+                tx.destroy()
             raise
         child_conn.close()  # the parent keeps only its own end
         shard = _Shard(slot=slot, process=process, conn=parent_conn,
-                       tx=tx, rx=rx, tx_alloc=tx_alloc,
+                       tx=tx, tx_alloc=tx_alloc,
                        cores=self._shard_cores)
         shard.reader = threading.Thread(
             target=self._collect, args=(shard,),
@@ -717,24 +691,9 @@ class ProcessBackend(ExecutionBackend):
                 if msg[1] is not None:  # respawn replays carry token None
                     shard.acks.put(msg)
             elif op in ("ok", "err"):
-                # ("ok", bid, logits | ShmDescriptor, spans) or
-                # ("err", bid, exception)
+                # ("ok", bid, logits, spans) or ("err", bid, exception)
                 bid, result = msg[1], msg[2]
                 shard_spans = msg[3] if op == "ok" else None
-                if isinstance(result, ShmDescriptor):
-                    # copy the logits out *before* releasing anything;
-                    # the freerx goes back even when the read fails -
-                    # otherwise the shard's rx region would leak until
-                    # its next respawn and shrink the ring for good
-                    desc = result
-                    try:
-                        result = shard.rx.read_array(desc)
-                    except BaseException as exc:
-                        op, result = "err", exc
-                    try:
-                        shard.send(("freerx", desc.offset))
-                    except OSError:
-                        pass  # dying shard; respawn gets fresh rings
                 with self._lock:
                     item = shard.inflight.pop(bid, None)
                     tx_offset = shard.tx_offsets.pop(bid, None)
@@ -800,10 +759,10 @@ class ProcessBackend(ExecutionBackend):
             shard.process.join(timeout=5.0)
         except Exception:
             pass
-        # reclaim the dead shard's segments *now* - a respawn gets fresh
-        # rings, and a shard that crashed mid-batch must not leak
+        # reclaim the dead shard's segment *now* - a respawn gets a fresh
+        # ring, and a shard that crashed mid-batch must not leak
         # /dev/shm entries for however long the backend lives
-        shard.destroy_arenas()
+        shard.destroy_ring()
         if respawn:
             try:
                 replacement = self._spawn(shard.slot)
@@ -915,7 +874,7 @@ class ProcessBackend(ExecutionBackend):
         """Assign one batch to the least-loaded live shard in the
         model's placement and send it - through the shard's tx ring when
         it has room, over the pipe otherwise (a full ring, a batch larger
-        than the ring, or a shard without rings never stalls dispatch).
+        than the ring, or a shard without a ring never stalls dispatch).
 
         Raises when no placed shard is alive; a send that fails because
         the chosen shard just died is *not* an error - the entry is
@@ -1041,7 +1000,7 @@ class ProcessBackend(ExecutionBackend):
                 shard.reader.join(2.0)
             # every ring dies with its shard: unlink here so no exit
             # path can leave /dev/shm entries behind
-            shard.destroy_arenas()
+            shard.destroy_ring()
         # fail anything that never came back (shards killed mid-drain)
         leftovers: "list[_Inflight]" = []
         with self._lock:

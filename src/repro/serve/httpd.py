@@ -319,6 +319,8 @@ class _ServeHandler(http11.RequestHandler):
             try:
                 limit = int(params.get("limit", 50))
             except ValueError:
+                limit = -1
+            if limit < 0:  # 0 lists every stored trace
                 self._send_error(400, f"bad limit {params['limit']!r}")
                 return
             self._send_json({
@@ -699,7 +701,6 @@ def main(argv: "list[str] | None" = None) -> None:
                              "placement (default: the manifest's, else "
                              "every shard)")
     parser.add_argument("--max-batch-size", type=int, default=32)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--max-inflight", type=int, default=None,
                         help="admission control: requests in flight before "
                              "shedding with 429 (default: unbounded)")
@@ -768,9 +769,7 @@ def main(argv: "list[str] | None" = None) -> None:
     )
     request_log = StructuredLogger() if args.log_requests else None
     service = SconnaService(
-        policy=BatchingPolicy(
-            max_batch_size=args.max_batch_size, max_wait_ms=args.max_wait_ms
-        ),
+        policy=BatchingPolicy(max_batch_size=args.max_batch_size),
         mode=args.mode,
         backend=args.backend,
         n_shards=args.shards,

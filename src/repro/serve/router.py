@@ -400,13 +400,9 @@ class Router:
         return [r.url for r in ranked[: self.policy.lanes_per_model]]
 
     def candidates(self, model: "str | None") -> "list[Replica]":
-        """Available replicas in routing order, preferred lanes first."""
-        ranked = self.ranked(model)
-        available = [r for r in ranked if r.available]
-        if model and len(available) > self.policy.lanes_per_model:
-            lanes = set(self.lanes_for(model))
-            available.sort(key=lambda r: r.url not in lanes)
-        return available
+        """Available replicas in routing order, preferred lanes first
+        (:meth:`ranked` lists the lanes first; filtering keeps order)."""
+        return [r for r in self.ranked(model) if r.available]
 
     # -- forwarding ------------------------------------------------------
     def forward(
@@ -614,10 +610,13 @@ class Router:
         :meth:`ServeMetrics.merge`; the result reads exactly like a
         single server's snapshot, with ``fleet`` (per-replica
         topology) and ``router`` (forward/retry/shed counters)
-        sections on top.
+        sections on top.  One upstream request per healthy replica: its
+        state document also lists its models, whose union over the
+        available replicas is what :meth:`models` would return.
         """
         agg = ServeMetrics()
         per_replica: "list[dict]" = []
+        models: "set[str]" = set()
         for replica in self.replicas:
             entry = replica.state()
             if replica.healthy:
@@ -631,6 +630,8 @@ class Router:
                         replica.release(conn, ok=resp.status == 200)
                     if resp.status == 200:
                         doc = json.loads(payload)
+                        if replica.available:
+                            models.update(doc.get("models") or ())
                         agg.merge(doc["metrics"])
                         entry["models"] = doc.get("models")
                         entry["backend"] = (doc.get("backend") or {}).get("kind")
@@ -648,7 +649,7 @@ class Router:
                 "unroutable": self.unroutable,
                 "proxy_errors": self.proxy_errors,
             }
-        snap["models"] = self.models()
+        snap["models"] = sorted(models)
         snap["fleet"] = {
             "replicas": per_replica,
             "healthy": sum(1 for r in self.replicas if r.healthy),

@@ -1,13 +1,14 @@
 """Shared-memory ring transport for the process backend.
 
-The pipe-pickle transport pays for every batch twice: ~44 KB/image of
-float64 pixels is pickled into the pipe on dispatch and the logits are
-pickled back on completion.  On a one-core container that serialization
-is the entire measured overhead of ``ProcessBackend`` (0.82x of
-thread-dynamic, see ``BENCH_serve.json``).  This module moves the bulk
-payloads into ``multiprocessing.shared_memory`` segments so only small
-*descriptors* (offset, shape, dtype - plus the request ids and pickled
-RNG state that must travel anyway) cross the pipe:
+The pipe-pickle transport pickles every batch's pixels into the pipe on
+dispatch: 6.9 KB per float32 24x24 RGB image, against 80 B of logits
+per image coming back.  On a one-core container that serialization is the
+entire measured overhead of ``ProcessBackend`` (0.82x of
+thread-dynamic, see ``BENCH_serve.json``).  This module moves the batch
+tensors into one ``multiprocessing.shared_memory`` ring per shard so
+only small *descriptors* (offset, shape, dtype - plus the request ids
+and pickled RNG state that must travel anyway) cross the pipe; the
+logits return in the shard's reply on the pipe:
 
 * :class:`RingAllocator` - a next-fit circular allocator over a byte
   arena.  Regions are reclaimed out of completion order (batches finish
@@ -16,8 +17,9 @@ RNG state that must travel anyway) cross the pipe:
   forward through free gaps and wraps to offset 0, which is exactly the
   ring wrap-around behaviour, without requiring in-order frees.
 * :class:`ShmArena` - one shared-memory segment, created by the serving
-  parent (``create=True``) and attached by the shard (``name=...``),
-  with exact-bytes array read/write at explicit offsets.
+  parent (``create=True``) and attached by the shard (``name=...``):
+  the parent writes an array's exact bytes at an offset, the shard
+  reads them back as a zero-copy view.
 
 Ownership and cleanup invariants (the part that must never be wrong):
 
@@ -45,9 +47,9 @@ import numpy as np
 #: every segment name starts with this - the CI leak check greps for it
 SEGMENT_PREFIX = "repro_"
 
-#: default per-direction ring capacity per shard (a 32-image float64
-#: batch of 24x24 RGB images is ~1.4 MB; shards execute serially, so a
-#: few in-flight batches is the realistic high-water mark)
+#: default ring capacity per shard (a 32-image batch of float32 24x24
+#: RGB images is 221 KB, 442 KB in float64; shards execute serially, so
+#: a few in-flight batches is the realistic high-water mark)
 DEFAULT_RING_BYTES = 16 * 1024 * 1024
 
 
@@ -80,7 +82,7 @@ class RingAllocator:
     before batch N) cannot strand capacity.
 
     Not thread-safe: the process backend serializes calls under its own
-    lock (parent side) or the single shard loop (worker side).
+    lock.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -165,9 +167,8 @@ class ShmArena:
     """One shared-memory segment with offset-addressed array I/O.
 
     Created by the owner (``name=None``: a fresh prefixed segment) or
-    attached by name.  :meth:`read_array` always copies out of the
-    segment - the region may be reclaimed the moment the caller's reply
-    or free message is processed, so no view may outlive it.
+    attached by name.  :meth:`write_array` copies into the segment;
+    :meth:`read_array` returns a view into it.
     """
 
     def __init__(
@@ -215,23 +216,19 @@ class ShmArena:
         dest[:] = array.view(np.uint8).reshape(-1)
         return ShmDescriptor.for_array(offset, array)
 
-    def read_array(self, desc: ShmDescriptor, copy: bool = True) -> np.ndarray:
-        """The described region as an array (bit-exact).
+    def read_array(self, desc: ShmDescriptor) -> np.ndarray:
+        """The described region as a zero-copy view (bit-exact).
 
-        ``copy=True`` (default) returns a fresh array that survives the
-        region's reclamation.  ``copy=False`` returns a view straight
-        into the segment - valid only while the region stays allocated,
-        which the shard's reply protocol guarantees for exactly the
-        duration of the batch's forward pass (the parent frees a tx
-        region when the reply for that batch arrives, and the
-        single-threaded shard replies only after ``forward`` returns).
+        The view is valid only while the region stays allocated, which
+        the shard's reply protocol guarantees for exactly the duration
+        of the batch's forward pass (the parent frees a tx region when
+        the reply for that batch arrives, and the single-threaded shard
+        replies only after ``forward`` returns).
         """
-        flat = np.frombuffer(
+        return np.frombuffer(
             self._shm.buf, dtype=np.dtype(desc.dtype),
             count=int(np.prod(desc.shape, dtype=np.int64)), offset=desc.offset,
-        )
-        shaped = flat.reshape(desc.shape)
-        return shaped.copy() if copy else shaped
+        ).reshape(desc.shape)
 
     def close(self) -> None:
         """Release this process's mapping (idempotent)."""

@@ -298,6 +298,20 @@ class TestConsistentRouting:
             full.close()
             small.close()
 
+    def test_spill_over_follows_rendezvous_order(self):
+        """With a preferred lane ejected, the candidates are the
+        rendezvous order less the ejected replica: the surviving lane
+        first, then the spill-over replicas."""
+        urls = [f"http://127.0.0.1:{9200 + i}" for i in range(6)]
+        router = _make_router(urls, lanes_per_model=2)
+        try:
+            ranked = router.ranked("tiny")
+            ranked[0].record_failure("refused")   # eject_after=1
+            assert not ranked[0].available
+            assert router.candidates("tiny") == ranked[1:]
+        finally:
+            router.close()
+
     def test_model_less_requests_round_robin(self, routed):
         router, _ = routed
         firsts = {router.ranked(None)[0].url for _ in range(4)}
@@ -462,6 +476,24 @@ class TestFleetMetrics:
         assert fleet_snap["router"]["routed_total"] >= 6
         assert fleet_snap["fleet"]["healthy"] == 2
 
+    def test_one_upstream_request_per_replica_per_scrape(
+        self, routed, monkeypatch
+    ):
+        """A fleet snapshot reads each healthy replica's state document
+        once; the served models come from those documents too."""
+        router, _ = routed
+        paths = []
+        original = Replica.request
+
+        def request(replica, method, path, *args, **kwargs):
+            paths.append(path)
+            return original(replica, method, path, *args, **kwargs)
+
+        monkeypatch.setattr(Replica, "request", request)
+        snap = router.metrics_snapshot()
+        assert paths == ["/v1/metrics?format=state"] * 2
+        assert snap["models"] == ["tiny"]
+
     def test_state_export_round_trips(self, setup, replicas):
         """``?format=state`` is the raw merge food: re-hydrating it
         yields the same aggregate snapshot the replica itself serves."""
@@ -535,9 +567,7 @@ class TestKillUnderLoad:
         registry = ModelRegistry(tmp_path / "models")
         registry.save("tiny", qm)
         processes, urls = spawn_replicas(
-            str(tmp_path / "models"), 2, _free_port(),
-            extra_args=["--max-wait-ms", "1"],
-            wait_s=60.0,
+            str(tmp_path / "models"), 2, _free_port(), wait_s=60.0,
         )
         router = _make_router(
             urls, background=True, health_interval_s=0.1, max_retries=3

@@ -106,7 +106,8 @@ class TestShmArena:
             assert desc.offset == 128 and desc.dtype == "float64"
             out = arena.read_array(desc)
             assert np.array_equal(out, data)
-            assert out.base is None  # a copy, never a view into the arena
+            assert not out.flags.owndata  # a view into the arena, never a copy
+            del out  # no view may outlive the mapping
         finally:
             arena.destroy()
         assert not glob.glob(f"/dev/shm/{arena.name}")
@@ -138,11 +139,13 @@ class TestShmArena:
             out = arena.read_array(desc)
             assert out.dtype == np.dtype(dtype)
             assert np.array_equal(out, data)
+            del out  # no view may outlive the mapping
             attachment = attach_arena(arena.name, 1 << 14)
             try:
                 other = attachment.read_array(desc)
                 assert other.dtype == np.dtype(dtype)
                 assert np.array_equal(other, data)
+                del other
             finally:
                 attachment.close()
         finally:
@@ -241,6 +244,30 @@ class TestShmTransport:
         finally:
             svc.close()
 
+    def test_ring_batch_is_one_pipe_message(self, setup, monkeypatch):
+        """A batch through the ring costs one parent->shard message: the
+        logits come back in the reply, with nothing to free afterwards."""
+        qm, ds = setup
+        backend = ProcessBackend(n_shards=1)
+        svc = SconnaService(policy=POLICY, backend=backend)
+        svc.add_model("tiny", qm)
+        sent = []
+        original = backends._Shard.send
+
+        def send(shard, msg):
+            sent.append(msg[0])
+            original(shard, msg)
+
+        monkeypatch.setattr(backends._Shard, "send", send)
+        try:
+            svc.predict("tiny", ds.images[0], seed=1, timeout=120.0)
+            info = backend.info()
+            assert info["shm_batches"] == 1
+            assert info["pipe_fallbacks"] == 0
+            assert sent == ["batch"]
+        finally:
+            svc.close()
+
     def test_crash_mid_batch_redispatches_and_reclaims_segments(self, setup):
         qm, ds = setup
         backend = ProcessBackend(n_shards=2)
@@ -249,9 +276,10 @@ class TestShmTransport:
         try:
             expected = svc.predict("tiny", ds.images[2], seed=5, timeout=120.0)
             before = set(backend.segment_names)
+            assert len(before) == 2  # one ring per shard
             restarts = backend.restarts
             victim = backend._shards[0]
-            victim_names = {victim.tx.name, victim.rx.name}
+            victim_name = victim.tx.name
             # keep requests in flight while the shard dies
             futs = [
                 svc.predict_async("tiny", ds.images[i % 6], seed=100 + i)
@@ -266,9 +294,9 @@ class TestShmTransport:
                     break
                 time.sleep(0.05)
             assert backend.restarts > restarts
-            # the dead shard's rings are gone; the respawn got fresh ones
-            assert not segments_alive(victim_names)
-            assert len(set(backend.segment_names) - before) == 2
+            # the dead shard's ring is gone; the respawn got a fresh one
+            assert not segments_alive({victim_name})
+            assert len(set(backend.segment_names) - before) == 1
             after = svc.predict("tiny", ds.images[2], seed=5, timeout=120.0)
             assert np.array_equal(after.logits, expected.logits)
         finally:
@@ -331,7 +359,7 @@ class TestShmTransport:
             ProcessBackend(n_shards=2)
         (shard,) = spawned
         assert not shard.process.is_alive()
-        assert not segments_alive({shard.tx.name, shard.rx.name})
+        assert not segments_alive({shard.tx.name})
 
     def test_close_idempotent_and_leak_free(self, setup):
         qm, ds = setup

@@ -306,6 +306,23 @@ class TestHTTPSurface:
                 urllib.request.urlopen(server.url + path)
             assert err.value.code == status
 
+    def test_negative_limit_is_400_and_zero_lists_every_trace(
+        self, setup, http
+    ):
+        """``?limit=-3`` would list every stored trace but the three
+        oldest; it is refused.  ``?limit=0`` lists every stored trace."""
+        _, ds = setup
+        _, server, _ = http
+        with SconnaClient(server.url) as client:
+            for i in range(4):
+                client.predict(ds.images[i], model="tiny", seed=i)
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(server.url + "/v1/trace?limit=-3")
+        assert err.value.code == 400
+        with urllib.request.urlopen(server.url + "/v1/trace?limit=0") as resp:
+            doc = json.loads(resp.read())
+        assert len(doc["traces"]) == doc["stats"]["store"]["stored"] >= 4
+
     def test_prometheus_exposition_from_live_server(self, setup, http):
         _, ds = setup
         svc, server, _ = http

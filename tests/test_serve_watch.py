@@ -587,9 +587,7 @@ class TestAutoDrainEndToEnd:
         registry = ModelRegistry(tmp_path / "models")
         registry.save("tiny", qm)
         processes, urls = spawn_replicas(
-            str(tmp_path / "models"), 2, _free_port(),
-            extra_args=["--max-wait-ms", "1"],
-            wait_s=60.0,
+            str(tmp_path / "models"), 2, _free_port(), wait_s=60.0,
         )
         router = Router(
             urls,
