@@ -12,10 +12,8 @@ protocol by default:
   parameters in the query string (responses still arrive as frames);
 * ``wire="json"``  - the classic JSON document.
 
-A server that does not understand the binary types (``415``) downgrades
-the client to JSON for the rest of its life - binary by default, JSON
-fallback, no caller involvement.  Logits are bit-identical across all
-three wires (locked by tests and the CI equivalence step).
+Logits are bit-identical across all three wires (locked by tests and
+the CI equivalence step).
 
 When the server traced a request, its trace id arrives in the
 ``X-Sconna-Trace-Id`` response header and is surfaced as
@@ -24,9 +22,10 @@ full span tree with :meth:`SconnaClient.trace`.
 
 Admission-control rejections (``429``) raise :class:`AdmissionRejected`
 carrying the server's ``Retry-After`` hint; pass ``retry_429 > 0`` to
-have the client sleep that hint and retry transparently.  A keep-alive
-connection the server closed under us (idle reap, restart) is detected
-and rebuilt once per request - ``opened`` counts how many TCP
+have the client sleep that hint and retry transparently.  Every call
+is one :meth:`~repro.serve.http11.Connection.exchange`: a keep-alive
+socket the server closed while it sat idle (reap, restart) is replaced
+once, and a timeout is never retried.  ``opened`` counts how many TCP
 connections the client ever made, which is 1 for a healthy session of
 any length.
 
@@ -50,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.serve import wire
-from repro.serve.http11 import Connection, Response
+from repro.serve.http11 import Connection
 from repro.serve.wire import (
     CONTENT_TYPE_FRAME,
     CONTENT_TYPE_JSON,
@@ -157,66 +156,31 @@ class SconnaClient:
     ) -> None:
         if wire_format not in ("frame", "npy", "json"):
             raise ValueError(f"unknown wire format {wire_format!r}")
-        parsed = urllib.parse.urlsplit(url if "//" in url else f"http://{url}")
-        if parsed.scheme not in ("", "http"):
-            raise ValueError(f"only http:// endpoints are supported: {url!r}")
-        self.host = parsed.hostname or "127.0.0.1"
-        self.port = parsed.port or 80
         self.wire_format = wire_format
-        self.timeout = timeout
         self.retry_429 = retry_429
-        self.opened = 0          #: TCP connections made (1 == keep-alive held)
         self.last_trace_id: "str | None" = None  #: from the latest response
         self.last_replica: "str | None" = None   #: from the latest response
-        self._conn: "Connection | None" = None
-        self._json_fallback = False
+        self._conn = Connection.to(url, timeout)
 
     # -- connection plumbing ---------------------------------------------
+    @property
+    def opened(self) -> int:
+        """TCP connections made (1 == keep-alive held)."""
+        return self._conn.opened
+
     def _connection(self) -> Connection:
-        if self._conn is None:
-            self._conn = Connection(self.host, self.port, timeout=self.timeout)
-            self._conn.connect()
-            self.opened += 1
         return self._conn
 
     def close(self) -> None:
-        """Drop the pooled keep-alive connection (idempotent)."""
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        """Drop the keep-alive socket (idempotent); the next call opens
+        a new one."""
+        self._conn.close()
 
     def __enter__(self) -> "SconnaClient":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _request(
-        self, method: str, path: str, body: "bytes | None" = None,
-        headers: "dict[str, str] | None" = None,
-    ) -> Response:
-        """One round trip; a dead keep-alive connection is rebuilt once.
-
-        The retry only covers failures *sending* the request or reading
-        the status line of a connection the server already closed
-        (end-of-file there is a :class:`ConnectionResetError`) - the
-        request never executed, so re-sending is safe.  A *timeout* is
-        never retried: the server may well be executing the request
-        right now, and re-sending it would double the load.
-        """
-        for attempt in (0, 1):
-            conn = self._connection()
-            try:
-                conn.request(method, path, body=body, headers=headers or {})
-                return conn.getresponse()
-            except TimeoutError:
-                self.close()
-                raise
-            except OSError:   # reset, broken pipe, refused, bad status line
-                self.close()
-                if attempt:
-                    raise
-        raise AssertionError("unreachable")
 
     def _raise_for_status(self, resp, body: bytes) -> None:
         try:
@@ -236,7 +200,7 @@ class SconnaClient:
 
     # -- GET endpoints ---------------------------------------------------
     def _get_json(self, path: str) -> dict:
-        resp = self._request("GET", path)
+        resp = self._conn.exchange("GET", path)
         body = resp.read()
         if resp.status != 200:
             self._raise_for_status(resp, body)
@@ -256,7 +220,7 @@ class SconnaClient:
 
     def traces(self, limit: "int | None" = None) -> "list[dict]":
         """Summaries of the server's stored traces, newest first."""
-        path = "/v1/trace" + (f"?limit={int(limit)}" if limit else "")
+        path = "/v1/trace" + ("" if limit is None else f"?limit={int(limit)}")
         return self._get_json(path)["traces"]
 
     def trace(self, trace_id: str = "latest") -> dict:
@@ -302,7 +266,7 @@ class SconnaClient:
         cost: bool = False,
         wire_format: "str | None" = None,
     ) -> ClientPrediction:
-        """Run one request; binary wire by default, JSON on fallback."""
+        """Run one request on ``wire_format`` (default: the client's)."""
         fields = {
             "model": model, "seed": seed, "ideal": ideal,
             "top_k": top_k, "cost": cost,
@@ -321,27 +285,18 @@ class SconnaClient:
                 )
                 time.sleep(exc.retry_after_s)
 
-    def _effective_wire(self, wire_format: "str | None") -> str:
-        chosen = wire_format or self.wire_format
-        if self._json_fallback and wire_format is None:
-            chosen = "json"
-        return chosen
-
     def _predict_once(
         self, image, fields: dict, wire_format: "str | None"
     ) -> ClientPrediction:
-        chosen = self._effective_wire(wire_format)
-        path, body, headers = self._encode_request(image, fields, chosen)
-        resp = self._request("POST", path, body=body, headers=headers)
+        path, body, headers = self._encode_request(
+            image, fields, wire_format or self.wire_format
+        )
+        resp = self._conn.exchange("POST", path, body, headers)
         payload = resp.read()
         trace_id = resp.headers.get(TRACE_ID_HEADER)
         replica = resp.headers.get(REPLICA_HEADER)
         self.last_trace_id = trace_id
         self.last_replica = replica
-        if resp.status == 415 and chosen != "json" and wire_format is None:
-            # an endpoint predating the binary wire: downgrade for good
-            self._json_fallback = True
-            return self._predict_once(image, fields, None)
         if resp.status != 200:
             self._raise_for_status(resp, payload)
         ctype = (resp.headers.get("Content-Type") or "").partition(";")[0]
@@ -386,12 +341,11 @@ class SconnaClient:
             "model": model, "seed": seed, "ideal": ideal,
             "top_k": top_k, "cost": cost, "stream": True,
         }
-        chosen = self._effective_wire(None)
-        if chosen == "json":
-            chosen = "frame"  # streaming is frame-only; force the wire
+        # streaming is frame-only; a JSON client sends a frame
+        chosen = "frame" if self.wire_format == "json" else self.wire_format
         path, body, headers = self._encode_request(images, fields, chosen)
         headers["Accept"] = CONTENT_TYPE_FRAME
-        resp = self._request("POST", path, body=body, headers=headers)
+        resp = self._conn.exchange("POST", path, body, headers)
         if resp.status != 200:
             self._raise_for_status(resp, resp.read())
         drained = False

@@ -37,9 +37,21 @@ in one place:
 :class:`HTTPServer` is a thread-per-connection
 :class:`socketserver.ThreadingTCPServer` (``serve_forever`` /
 ``shutdown`` as usual); subclass :class:`RequestHandler` and define
-``do_GET`` / ``do_POST``.  :class:`Connection` is the client end:
-``request()`` then ``getresponse()``, whose :class:`Response` has
-``.status``, ``.headers.get`` and ``.read()``.
+``do_GET`` / ``do_POST``.
+
+:class:`Connection` is the client end and the one outbound request path
+of the client, the router and the watchtower.  ``Connection.to(url)``
+is the one ``http://`` URL check.  :meth:`Connection.exchange` sends a
+request and reads its answer's head into a :class:`Response`
+(``.status``, ``.headers.get`` and ``.read()``) under one stale-socket
+rule: a socket that has carried an answer may have been closed by the
+peer while it sat idle, so if it fails before the next status line it
+is replaced once and the request sent again (the peer never read it).
+A socket that has not answered yet, and any timeout, is never retried:
+the peer may be running the request.  :func:`fetch` makes a one-shot
+call on a connection of its own and returns ``(status, body)``.
+:data:`CONNECT_TIMEOUT_S` bounds every outbound connect.
+``request()`` and ``getresponse()`` remain the raw codec calls.
 """
 
 from __future__ import annotations
@@ -49,6 +61,7 @@ import re
 import socket
 import socketserver
 import time
+import urllib.parse
 from email.utils import formatdate
 from http import HTTPStatus
 
@@ -58,6 +71,9 @@ MAX_LINE = 65536
 MAX_HEADERS = 100
 #: bytes asked of one ``recv``
 RECV_BYTES = 65536
+#: longest wait for an outbound connect (shorter if the connection's
+#: own timeout is)
+CONNECT_TIMEOUT_S = 5.0
 
 _TOKEN = r"[!#$%&'*+.^_`|~0-9A-Za-z-]+"
 #: no CR, LF or NUL anywhere in a line: a bare one is refused
@@ -492,13 +508,13 @@ class Response:
 
 
 class Connection:
-    """One client keep-alive connection: :meth:`request` writes a
-    message, :meth:`getresponse` reads the answer's head.
+    """One client keep-alive connection: :meth:`exchange` sends a
+    request and reads the answer's head.
 
     The socket opens on first use and again after a response that
-    closed it.  End-of-file before a status line raises
-    :class:`ConnectionResetError`; a timeout raises :class:`TimeoutError`;
-    either closes the connection.
+    closed it; ``timeout`` bounds each read and write.  End-of-file
+    before a status line raises :class:`ConnectionResetError`; a timeout
+    raises :class:`TimeoutError`; either closes the socket.
     """
 
     def __init__(self, host: str, port: int, timeout: "float | None" = None) -> None:
@@ -506,14 +522,32 @@ class Connection:
         self.port = port
         self.timeout = timeout
         self.sock: "socket.socket | None" = None
+        #: sockets this connection has opened (1 while keep-alive holds)
+        self.opened = 0
+        self._answered = False     # the current socket has carried an answer
         self._stream: "_Stream | None" = None
         self._response: "Response | None" = None
 
+    @classmethod
+    def to(cls, url: str, timeout: "float | None" = None) -> "Connection":
+        """A connection to ``http://host:port`` (the scheme may be left
+        out); any other scheme raises :class:`ValueError`."""
+        parsed = urllib.parse.urlsplit(url if "//" in url else f"http://{url}")
+        if parsed.scheme not in ("", "http"):
+            raise ValueError(f"only http:// endpoints are supported: {url!r}")
+        return cls(parsed.hostname or "127.0.0.1", parsed.port or 80, timeout)
+
     def connect(self) -> None:
-        sock = socket.create_connection((self.host, self.port), self.timeout)
+        self._answered = False
+        wait = CONNECT_TIMEOUT_S if self.timeout is None else min(
+            CONNECT_TIMEOUT_S, self.timeout
+        )
+        sock = socket.create_connection((self.host, self.port), wait)
+        sock.settimeout(self.timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
         self._stream = _Stream(sock)
+        self.opened += 1
 
     def close(self) -> None:
         sock, self.sock = self.sock, None
@@ -546,6 +580,27 @@ class Connection:
         except OSError:
             self.close()
             raise
+
+    def exchange(
+        self, method: str, path: str, body=None,
+        headers: "dict[str, str] | None" = None,
+    ) -> Response:
+        """Send one request and read its answer up to the body.
+
+        A socket that has carried an answer and fails before the next
+        status line is replaced once and the request sent again.  A
+        socket that has not answered yet, and any timeout, is never
+        retried: the peer may be running the request."""
+        while True:
+            try:
+                self.request(method, path, body, headers)
+                return self.getresponse()
+            except TimeoutError:
+                raise
+            except OSError:
+                if not self._answered:
+                    raise
+                self._answered = False   # the next socket is a fresh one
 
     def getresponse(self) -> Response:
         """Read the answer to the last request up to its body (interim
@@ -590,4 +645,18 @@ class Connection:
         self._response = Response(
             self, status, headers, length, chunked, will_close,
         )
+        self._answered = True
         return self._response
+
+
+def fetch(
+    url: str, method: str, path: str, timeout: "float | None",
+) -> "tuple[int, bytes]":
+    """One bodiless call on a connection of its own, closed after it:
+    ``(status, body)``."""
+    conn = Connection.to(url, timeout)
+    try:
+        resp = conn.exchange(method, path)
+        return resp.status, resp.read()
+    finally:
+        conn.close()

@@ -26,7 +26,7 @@ import threading
 import time
 from collections import deque
 
-#: latency, wait and queue-depth samples each instance keeps (newest win)
+#: latency and wait samples each instance keeps (newest win)
 MAX_SAMPLES = 100_000
 
 
@@ -53,7 +53,6 @@ class ServeMetrics:
         self._lock = threading.Lock()
         self._latencies_s: "deque[float]" = deque(maxlen=MAX_SAMPLES)
         self._waits_s: "deque[float]" = deque(maxlen=MAX_SAMPLES)
-        self._queue_depths: "deque[int]" = deque(maxlen=MAX_SAMPLES)
         self._batch_hist: "dict[int, int]" = {}
         self._n_requests = 0
         self._n_images = 0
@@ -70,11 +69,6 @@ class ServeMetrics:
         self._accel_costs: "dict[str, dict]" = {}
 
     # -- recording -------------------------------------------------------
-    def record_enqueue(self, queue_depth: int) -> None:
-        """Sample the queue depth observed as a request is enqueued."""
-        with self._lock:
-            self._queue_depths.append(int(queue_depth))
-
     def record_batch(self, n_requests: int, n_images: int) -> None:
         """One coalesced batch: its request count and its image count
         (they differ when requests carry multi-image stacks)."""
@@ -135,7 +129,6 @@ class ServeMetrics:
         with self._lock:
             self._latencies_s.clear()
             self._waits_s.clear()
-            self._queue_depths.clear()
             self._batch_hist.clear()
             self._n_requests = self._n_images = 0
             self._n_batches = self._n_batched_requests = 0
@@ -154,7 +147,6 @@ class ServeMetrics:
             return {
                 "latencies_s": list(self._latencies_s),
                 "waits_s": list(self._waits_s),
-                "queue_depths": list(self._queue_depths),
                 "batch_hist": dict(self._batch_hist),
                 "n_requests": self._n_requests,
                 "n_images": self._n_images,
@@ -182,7 +174,6 @@ class ServeMetrics:
         with self._lock:
             self._latencies_s.extend(state["latencies_s"])
             self._waits_s.extend(state["waits_s"])
-            self._queue_depths.extend(state["queue_depths"])
             for size, count in state["batch_hist"].items():
                 size = int(size)
                 self._batch_hist[size] = self._batch_hist.get(size, 0) + count
@@ -216,7 +207,6 @@ class ServeMetrics:
         with self._lock:
             latencies = list(self._latencies_s)
             waits = list(self._waits_s)
-            depths = list(self._queue_depths)
             hist = dict(self._batch_hist)
             n_requests, n_images = self._n_requests, self._n_images
             n_batches, n_errors = self._n_batches, self._n_errors
@@ -256,10 +246,6 @@ class ServeMetrics:
                     n_batched_requests / n_batches if n_batches else None
                 ),
                 "max": max(hist) if hist else None,
-            },
-            "queue_depth": {
-                "mean": sum(depths) / len(depths) if depths else None,
-                "max": max(depths) if depths else None,
             },
             "accel_costs": {
                 model: {

@@ -20,12 +20,15 @@ Design, in the order an operator cares:
   the whole fleet, and adding/removing a replica only remaps the
   models that hashed onto it.
 * **Health checks with ejection and re-admission.**  A background
-  prober GETs every replica's ``/healthz`` on an interval; after
-  ``eject_after`` consecutive failures the replica stops receiving
-  traffic, and after ``readmit_after`` consecutive successes it
-  rejoins.  Connection-level forwarding failures count as health
-  failures too, so a crashed replica is ejected by live traffic
-  before the prober's next tick.
+  prober GETs every replica's ``/healthz`` on an interval, each probe
+  on a connection of its own bounded by
+  :data:`~repro.serve.http11.CONNECT_TIMEOUT_S`, so a hung replica
+  costs one such timeout per sweep; after ``eject_after`` consecutive
+  failures the replica stops receiving traffic, and after
+  ``readmit_after`` consecutive successes it rejoins.
+  Connection-level forwarding failures count as health failures too,
+  so a crashed replica is ejected by live traffic before the prober's
+  next tick.
 * **Redispatch.**  A request caught on a dying replica (connection
   refused, reset, or the replica vanished before a status line was
   written) is transparently re-sent to the next replica in its
@@ -96,7 +99,8 @@ import time
 import urllib.parse
 from dataclasses import dataclass
 
-from repro.serve.http11 import RECV_BYTES, Connection, Response
+from repro.serve import http11
+from repro.serve.http11 import RECV_BYTES, Connection, Response, fetch
 from repro.serve.httpd import _ServeHandler, ServeHTTPServer
 from repro.serve.metrics import ServeMetrics
 from repro.serve.telemetry import Tracer, TracePolicy
@@ -116,6 +120,8 @@ _HOP_HEADERS = frozenset((
 ))
 #: upstream response headers the router replaces with its own
 _RELAY_DROP = _HOP_HEADERS | {"date", "server"}
+#: longest wait for one read or write on a forwarding connection
+UPSTREAM_TIMEOUT_S = 120.0
 
 
 class ReplicaError(RuntimeError):
@@ -140,8 +146,6 @@ class RouterPolicy:
     readmit_after: int = 2
     max_retries: int = 3
     retry_after_s: float = 0.25     #: Retry-After hint on a 503
-    connect_timeout_s: float = 5.0
-    request_timeout_s: float = 120.0
 
     def __post_init__(self) -> None:
         if self.lanes_per_model < 1:
@@ -168,11 +172,8 @@ class Replica:
     requests, so the router adds no per-request TCP handshake)."""
 
     def __init__(self, url: str, policy: RouterPolicy) -> None:
-        parsed = urllib.parse.urlsplit(url if "//" in url else f"http://{url}")
-        if parsed.scheme not in ("", "http"):
-            raise ValueError(f"only http:// replicas are supported: {url!r}")
-        self.host = parsed.hostname or "127.0.0.1"
-        self.port = parsed.port or 80
+        conn = Connection.to(url)
+        self.host, self.port = conn.host, conn.port
         self.url = f"http://{self.host}:{self.port}"
         self.policy = policy
         self.replica_id: "str | None" = None   #: learned from /healthz
@@ -191,20 +192,12 @@ class Replica:
         self.last_error: "str | None" = None
 
     # -- connection pool -------------------------------------------------
-    def _connect(self) -> Connection:
-        conn = Connection(
-            self.host, self.port, timeout=self.policy.connect_timeout_s
-        )
-        conn.connect()
-        conn.sock.settimeout(self.policy.request_timeout_s)
-        return conn
-
-    def _acquire(self) -> "tuple[Connection, bool]":
-        """An idle pooled connection (True: may be stale) or a fresh one."""
+    def _acquire(self) -> Connection:
+        """An idle pooled connection, or a new one."""
         with self._lock:
             if self._pool:
-                return self._pool.pop(), True
-        return self._connect(), False
+                return self._pool.pop()
+        return Connection(self.host, self.port, UPSTREAM_TIMEOUT_S)
 
     def release(self, conn: Connection, ok: bool = True) -> None:
         """Hand a connection back after its response body was consumed.
@@ -216,56 +209,47 @@ class Replica:
         if ok and conn.sock is not None:
             with self._lock:
                 self._pool.append(conn)
-            return
-        try:
+        else:
             conn.close()
-        except Exception:
-            pass
 
     def _close_pool(self) -> None:
         with self._lock:
             pool, self._pool = self._pool, []
         for conn in pool:
-            try:
-                conn.close()
-            except Exception:
-                pass
+            conn.close()
 
     def request(
         self, method: str, path: str, body: "bytes | None" = None,
         headers: "dict[str, str] | None" = None,
     ) -> "tuple[Connection, Response]":
-        """One upstream round trip to the status line.
+        """One upstream :meth:`~repro.serve.http11.Connection.exchange`
+        on a pooled connection, read to the status line.
 
         Returns the live ``(connection, response)`` pair - the caller
-        relays the body, then hands the connection back with
-        :meth:`_release` (or closes it on a relay error).  A stale
-        pooled keep-alive connection is rebuilt once; any other failure
-        raises :class:`ReplicaError` - the request never produced a
-        status line, so the router may safely redispatch it.
+        reads the body, then hands the connection back with
+        :meth:`release` (``ok=False`` if the body was not read
+        through).  Any failure raises :class:`ReplicaError`: the
+        request produced no status line, so the router may safely
+        redispatch it.
         """
-        for attempt in (0, 1):
-            conn = None
-            pooled = False
-            try:
-                conn, pooled = self._acquire()
-                conn.request(method, path, body=body, headers=headers or {})
-                return conn, conn.getresponse()
-            except OSError as exc:   # timeouts and protocol errors included
-                if conn is not None:
-                    try:
-                        conn.close()
-                    except Exception:
-                        pass
-                # a pooled connection the replica idled out is not a
-                # replica failure - rebuild once; a fresh connection
-                # failing (refused, timed out, reset) is the real thing
-                if attempt or not pooled or isinstance(
-                        exc, (ConnectionRefusedError, TimeoutError)):
-                    raise ReplicaError(
-                        f"{self.url}: {type(exc).__name__}: {exc}"
-                    ) from exc
-        raise AssertionError("unreachable")
+        conn = self._acquire()
+        try:
+            return conn, conn.exchange(method, path, body, headers)
+        except OSError as exc:   # timeouts and protocol errors included
+            raise ReplicaError(
+                f"{self.url}: {type(exc).__name__}: {exc}"
+            ) from exc
+
+    def get(self, path: str) -> "tuple[int, bytes]":
+        """GET ``path`` on a pooled connection: ``(status, body)``."""
+        conn, resp = self.request("GET", path)
+        try:
+            body = resp.read()
+        except OSError:
+            conn.close()
+            raise
+        self.release(conn)
+        return resp.status, body
 
     # -- health accounting -----------------------------------------------
     def record_success(self) -> "bool":
@@ -545,29 +529,27 @@ class Router:
 
     # -- health probing --------------------------------------------------
     def _probe_once(self, replica: Replica) -> None:
+        # a connection of its own, so a hung replica costs one connect
+        # timeout, not a forwarding connection's read timeout
         try:
-            conn, resp = replica.request("GET", "/healthz")
-        except ReplicaError as exc:
-            replica.record_failure(str(exc))
-            return
-        try:
-            payload = resp.read()
+            status, payload = fetch(
+                replica.url, "GET", "/healthz", http11.CONNECT_TIMEOUT_S
+            )
         except OSError as exc:
-            replica.record_failure(f"healthz read failed: {exc}")
-            replica.release(conn, ok=False)
+            replica.record_failure(
+                f"{replica.url}: {type(exc).__name__}: {exc}"
+            )
             return
-        if resp.status == 200:
-            try:
-                doc = json.loads(payload)
-                if doc.get("replica"):
-                    replica.replica_id = str(doc["replica"])
-            except (ValueError, AttributeError):
-                pass
-            replica.record_success()
-            replica.release(conn, ok=True)
-        else:
-            replica.record_failure(f"healthz returned {resp.status}")
-            replica.release(conn, ok=False)
+        if status != 200:
+            replica.record_failure(f"healthz returned {status}")
+            return
+        try:
+            doc = json.loads(payload)
+            if doc.get("replica"):
+                replica.replica_id = str(doc["replica"])
+        except (ValueError, AttributeError):
+            pass
+        replica.record_success()
 
     def _probe_loop(self) -> None:
         while not self._closed:
@@ -592,12 +574,8 @@ class Router:
             if not replica.available:
                 continue
             try:
-                conn, resp = replica.request("GET", "/v1/models")
-                try:
-                    payload = resp.read()
-                finally:
-                    replica.release(conn, ok=resp.status == 200)
-                if resp.status == 200:
+                status, payload = replica.get("/v1/models")
+                if status == 200:
                     names.update(json.loads(payload).get("models", ()))
             except (ReplicaError, ValueError, OSError):
                 continue
@@ -621,14 +599,8 @@ class Router:
             entry = replica.state()
             if replica.healthy:
                 try:
-                    conn, resp = replica.request(
-                        "GET", "/v1/metrics?format=state"
-                    )
-                    try:
-                        payload = resp.read()
-                    finally:
-                        replica.release(conn, ok=resp.status == 200)
-                    if resp.status == 200:
+                    status, payload = replica.get("/v1/metrics?format=state")
+                    if status == 200:
                         doc = json.loads(payload)
                         if replica.available:
                             models.update(doc.get("models") or ())
@@ -878,15 +850,12 @@ class RouterHTTPServer(ServeHTTPServer):
         router: Router,
         host: str = "127.0.0.1",
         port: int = 0,
-        request_timeout_s: float = 120.0,
     ) -> None:
         self.router = router
         # ServeHTTPServer wiring: the inherited handler's GET routes
         # read .service; the router provides that surface
         super().__init__(
-            router, host=host, port=port,
-            request_timeout_s=request_timeout_s,
-            handler_class=_RouterHandler,
+            router, host=host, port=port, handler_class=_RouterHandler,
         )
 
 
@@ -937,17 +906,15 @@ def spawn_replicas(
         urls.append(f"http://{host}:{port}")
     deadline = time.monotonic() + wait_s
     for url in urls:
-        parsed = urllib.parse.urlsplit(url)
         while True:
-            conn = Connection(parsed.hostname, parsed.port, timeout=2.0)
             try:
-                conn.request("GET", "/healthz")
-                if conn.getresponse().status == 200:
+                status, _ = fetch(
+                    url, "GET", "/healthz", http11.CONNECT_TIMEOUT_S
+                )
+                if status == 200:
                     break
             except OSError:
                 pass
-            finally:
-                conn.close()
             if time.monotonic() >= deadline:
                 for proc in processes:
                     proc.terminate()

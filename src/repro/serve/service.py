@@ -263,13 +263,11 @@ class SconnaService:
         if images.ndim != 4:
             raise ValueError("image must be (C, H, W) or (n, C, H, W)")
         # lane-shape gate: a geometry mismatch must fail *this* caller,
-        # not poison the strangers it would be coalesced with
+        # not poison the strangers it would be coalesced with.  The lane
+        # learns its shape from its first batch that completes, so one
+        # malformed first request cannot lock it to the wrong shape
         shape = tuple(int(d) for d in images.shape[1:])
-        if entry.input_shape is None:
-            with entry.lock:
-                if entry.input_shape is None:
-                    entry.input_shape = shape
-        if shape != entry.input_shape:
+        if entry.input_shape is not None and shape != entry.input_shape:
             raise ValueError(
                 f"image shape {shape} does not match this model's "
                 f"serving shape {entry.input_shape}"
@@ -308,10 +306,6 @@ class SconnaService:
                 with_cost=with_cost,
                 trace=trace,
             )
-            # queue depth is a gauge - sampling every 16th request keeps
-            # the submit path off the metrics lock at high request rates
-            if request.request_id % 16 == 0:
-                self.metrics.record_enqueue(entry.batcher.queue_depth())
             future = entry.batcher.submit(request)
         except BaseException as exc:
             self.admission.release(nbytes)
@@ -377,6 +371,12 @@ class SconnaService:
             self.metrics.record_error(len(batch))
             self._fail_batch(batch, result)
             return
+        if entry.input_shape is None:
+            with entry.lock:
+                if entry.input_shape is None:
+                    entry.input_shape = tuple(
+                        int(d) for d in batch[0].images.shape[1:]
+                    )
         try:
             logits = result.logits
             # one descending argsort for the whole coalesced batch; each

@@ -15,7 +15,9 @@ Two synthetic series are written per target per scrape:
   HTTP status, parse);
 * ``watch_scrape_duration_ms`` - wall time of the scrape.
 
-Connections are kept alive between scrapes and rebuilt on failure.
+Each target's connection is kept alive between scrapes; a scrape is one
+:meth:`~repro.serve.http11.Connection.exchange` bounded by
+:data:`REQUEST_TIMEOUT_S`, so a hung target costs one timeout.
 Timestamps are ``time.monotonic()`` unless the caller supplies ``now``
 (tests replay deterministic histories that way).
 """
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from urllib.parse import urlsplit
 
 from repro.serve.http11 import Connection
 from repro.serve.telemetry.prometheus import parse_exposition
@@ -32,6 +33,8 @@ from repro.serve.telemetry.prometheus import parse_exposition
 from .store import TimeSeriesStore
 
 METRICS_PATH = "/v1/metrics?format=prometheus"
+#: longest wait for one read or write of a watchtower request
+REQUEST_TIMEOUT_S = 5.0
 
 
 @dataclass
@@ -50,50 +53,23 @@ class Collector:
         self,
         targets: "list[ScrapeTarget]",
         store: TimeSeriesStore,
-        timeout_s: float = 5.0,
         logger: "object | None" = None,
     ) -> None:
         self.targets = list(targets)
         self.store = store
-        self.timeout_s = timeout_s
         self.logger = logger
         self._conns: "dict[str, Connection]" = {}
         self._scrapes = 0
         self._failures = 0
 
     # -- transport -------------------------------------------------------
-    def _connection(self, target: ScrapeTarget) -> Connection:
+    def _fetch(self, target: ScrapeTarget) -> str:
         conn = self._conns.get(target.name)
         if conn is None:
-            parts = urlsplit(target.url)
-            conn = Connection(
-                parts.hostname, parts.port or 80, timeout=self.timeout_s
-            )
+            conn = Connection.to(target.url, REQUEST_TIMEOUT_S)
             self._conns[target.name] = conn
-        return conn
-
-    def _drop_connection(self, target: ScrapeTarget) -> None:
-        conn = self._conns.pop(target.name, None)
-        if conn is not None:
-            try:
-                conn.close()
-            except Exception:
-                pass
-
-    def _fetch(self, target: ScrapeTarget) -> str:
-        conn = self._connection(target)
-        try:
-            conn.request("GET", METRICS_PATH)
-            resp = conn.getresponse()
-            body = resp.read()
-        except Exception:
-            # one retry on a fresh connection: the pooled socket may
-            # simply have idled out between scrapes
-            self._drop_connection(target)
-            conn = self._connection(target)
-            conn.request("GET", METRICS_PATH)
-            resp = conn.getresponse()
-            body = resp.read()
+        resp = conn.exchange("GET", METRICS_PATH)
+        body = resp.read()
         if resp.status != 200:
             raise RuntimeError(f"HTTP {resp.status} from {target.url}")
         return body.decode("utf-8")
@@ -105,7 +81,6 @@ class Collector:
         try:
             samples = parse_exposition(self._fetch(target))
         except Exception as exc:
-            self._drop_connection(target)
             self._failures += 1
             self.store.observe("watch_scrape_up", {"instance": target.name},
                                0.0, now)
@@ -143,8 +118,8 @@ class Collector:
         }
 
     def close(self) -> None:
-        for target in list(self.targets):
-            self._drop_connection(target)
+        for conn in self._conns.values():
+            conn.close()
 
     def stats(self) -> dict:
         return {

@@ -16,7 +16,8 @@ Auto-drain safety - remediation must never make an outage worse:
   is consulted and the drain is skipped (and logged) when it would
   leave zero available replicas;
 * drains use ``timeout=0``: mark-and-return, never blocking the tick
-  loop on the router waiting for in-flight requests.
+  loop on the router waiting for in-flight requests; every router call
+  is bounded by :data:`~.collector.REQUEST_TIMEOUT_S`.
 
 Every remediation attempt - acted on, skipped, failed - is logged
 through the :class:`StructuredLogger` and kept in a bounded history
@@ -29,32 +30,25 @@ import json
 import threading
 import time
 from collections import deque
-from urllib.parse import quote, urlsplit
+from urllib.parse import quote
 
-from repro.serve.http11 import Connection
+from repro.serve.http11 import fetch
 
-from .collector import Collector, ScrapeTarget
+from .collector import REQUEST_TIMEOUT_S, Collector, ScrapeTarget
 from .engine import SLOEngine
 from .rules import Rule, default_rules
 from .store import TimeSeriesStore
 
 
-def discover_replicas(router_url: str, timeout_s: float = 5.0) -> "list[ScrapeTarget]":
+def discover_replicas(router_url: str) -> "list[ScrapeTarget]":
     """Scrape targets for every replica in the router's topology.
 
     Reads ``GET /v1/router`` and returns one target per configured
     replica, named by its learned replica id (falling back to its URL).
     """
-    parts = urlsplit(router_url)
-    conn = Connection(parts.hostname, parts.port or 80, timeout=timeout_s)
-    try:
-        conn.request("GET", "/v1/router")
-        resp = conn.getresponse()
-        body = resp.read()
-        if resp.status != 200:
-            raise RuntimeError(f"HTTP {resp.status} from {router_url}/v1/router")
-    finally:
-        conn.close()
+    status, body = fetch(router_url, "GET", "/v1/router", REQUEST_TIMEOUT_S)
+    if status != 200:
+        raise RuntimeError(f"HTTP {status} from {router_url}/v1/router")
     topology = json.loads(body)
     targets = []
     for entry in topology.get("replicas", []):
@@ -79,7 +73,6 @@ class Watchtower:
         drain_cooldown_s: float = 60.0,
         logger: "object | None" = None,
         store: "TimeSeriesStore | None" = None,
-        timeout_s: float = 5.0,
     ) -> None:
         if interval_s <= 0:
             raise ValueError("interval_s must be > 0")
@@ -88,11 +81,8 @@ class Watchtower:
         self.auto_drain = auto_drain
         self.drain_cooldown_s = drain_cooldown_s
         self.logger = logger
-        self.timeout_s = timeout_s
         self.store = store or TimeSeriesStore()
-        self.collector = Collector(
-            targets, self.store, timeout_s=timeout_s, logger=logger
-        )
+        self.collector = Collector(targets, self.store, logger=logger)
         self.rules = list(rules) if rules is not None else default_rules()
         self.engine = SLOEngine(self.store, self.rules, logger=logger)
         self._drained_at: "dict[str, float]" = {}
@@ -167,8 +157,10 @@ class Watchtower:
             return
         self._drained_at[replica] = now
         try:
-            status, body = self._router_post(
-                f"/v1/router/drain?replica={quote(replica)}&timeout=0"
+            status, body = fetch(
+                self.router_url, "POST",
+                f"/v1/router/drain?replica={quote(replica)}&timeout=0",
+                REQUEST_TIMEOUT_S,
             )
         except Exception as exc:
             record["error"] = f"{type(exc).__name__}: {exc}"
@@ -176,21 +168,8 @@ class Watchtower:
             record["acted"] = status == 200
             record["status"] = status
             if status != 200:
-                record["error"] = body[:200]
+                record["error"] = body[:200].decode("utf-8", "replace")
         self._log_remediation(record)
-
-    def _router_conn(self) -> Connection:
-        parts = urlsplit(self.router_url)
-        return Connection(parts.hostname, parts.port or 80, timeout=self.timeout_s)
-
-    def _router_post(self, path: str) -> "tuple[int, str]":
-        conn = self._router_conn()
-        try:
-            conn.request("POST", path)
-            resp = conn.getresponse()
-            return resp.status, resp.read().decode("utf-8", "replace")
-        finally:
-            conn.close()
 
     def _available_excluding(self, replica: str) -> "int | None":
         """How many replicas would still take traffic after draining
@@ -202,11 +181,11 @@ class Watchtower:
         better gone even on partial knowledge."""
         if self.router_url is None:
             return None
-        conn = self._router_conn()
         try:
-            conn.request("GET", "/v1/router")
-            resp = conn.getresponse()
-            doc = json.loads(resp.read())
+            _, body = fetch(
+                self.router_url, "GET", "/v1/router", REQUEST_TIMEOUT_S
+            )
+            doc = json.loads(body)
             count = 0
             for entry in doc.get("replicas", []):
                 if replica in (entry.get("replica_id"), entry.get("url")):
@@ -216,8 +195,6 @@ class Watchtower:
             return count
         except Exception:
             return None
-        finally:
-            conn.close()
 
     # -- background loop -------------------------------------------------
     def start(self) -> None:

@@ -259,27 +259,6 @@ class TestKeepAliveAndErrors:
         finally:
             conn.close()
 
-    def test_client_falls_back_to_json_on_415(self, setup, served, monkeypatch):
-        """A server predating the binary wire answers 415; the client
-        downgrades to JSON transparently and stays there."""
-        from repro.serve.httpd import _ServeHandler
-
-        _, ds = setup
-        _, server = served
-        original = _ServeHandler._parse_request
-
-        def legacy(self, ctype, body, query):
-            if ctype != CONTENT_TYPE_JSON:
-                raise NotImplementedError(ctype)
-            return original(self, ctype, body, query)
-
-        monkeypatch.setattr(_ServeHandler, "_parse_request", legacy)
-        with SconnaClient(server.url) as client:
-            got = client.predict(ds.images[0], model="tiny", seed=3)
-            assert client._json_fallback
-            again = client.predict(ds.images[0], model="tiny", seed=3)
-        assert np.array_equal(got.logits, again.logits)
-
 
 class TestAdmission:
     def make_service(self, qm, **admission_kwargs):
@@ -611,25 +590,37 @@ class TestHeadScan:
         assert rest and b"GET /next".startswith(rest)
 
 
-def _answer_once(payload: bytes):
-    """A listener that reads one request head, answers it with the raw
-    ``payload`` and hangs up; returns its (host, port)."""
+def _answer_each_connection(payload: bytes, hold: bool = False):
+    """A listener that answers the first request on each connection with
+    the raw ``payload`` and then hangs up - or, with ``hold``, keeps the
+    connection open and answers nothing more.  Returns its (host, port)
+    and the request lines it has read, in arrival order."""
     listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10.0)
+    seen: "list[bytes]" = []
+    held: "list[socket.socket]" = []
 
     def serve() -> None:
         with listener:
-            conn, _ = listener.accept()
-            with conn:
-                conn.recv(65536)
+            while True:
+                try:
+                    conn, _ = listener.accept()
+                except OSError:
+                    return
+                seen.append(conn.recv(65536).split(b"\r\n", 1)[0])
                 conn.sendall(payload)
+                if hold:
+                    held.append(conn)
+                else:
+                    conn.close()
 
     threading.Thread(target=serve, daemon=True).start()
-    return listener.getsockname()[:2]
+    return listener.getsockname()[:2], seen
 
 
 class TestClientCodec:
     def test_interim_answer_skipped_and_chunks_read_one_at_a_time(self):
-        address = _answer_once(
+        address, _ = _answer_each_connection(
             b"HTTP/1.1 100 Continue\r\n\r\n"
             b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
             b"3;ext=1\r\nabc\r\n2\r\nde\r\n0\r\nX-Trailer: t\r\n\r\n"
@@ -647,7 +638,7 @@ class TestClientCodec:
             conn.close()
 
     def test_close_delimited_body(self):
-        address = _answer_once(b"HTTP/1.0 200 OK\r\n\r\nhello")
+        address, _ = _answer_each_connection(b"HTTP/1.0 200 OK\r\n\r\nhello")
         conn = Connection(*address, timeout=10.0)
         try:
             conn.request("GET", "/")
@@ -657,10 +648,79 @@ class TestClientCodec:
             conn.close()
 
     def test_eof_before_status_line_is_a_reset(self):
-        conn = Connection(*_answer_once(b""), timeout=10.0)
+        address, _ = _answer_each_connection(b"")
+        conn = Connection(*address, timeout=10.0)
         try:
             conn.request("GET", "/")
             with pytest.raises(ConnectionResetError):
                 conn.getresponse()
         finally:
             conn.close()
+
+
+_OK = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+
+
+class TestExchange:
+    """``Connection.exchange``'s one stale-socket rule: a socket that has
+    carried an answer is replaced once if it fails before the next status
+    line; a fresh socket, and any timeout, is never retried."""
+
+    def test_idle_closed_socket_is_replaced_once(self):
+        address, seen = _answer_each_connection(_OK)
+        conn = Connection(*address, timeout=10.0)
+        try:
+            assert conn.exchange("GET", "/a").read() == b"ok"
+            # the peer has hung up the idle keep-alive socket
+            assert conn.exchange("GET", "/b").read() == b"ok"
+            assert conn.opened == 2
+        finally:
+            conn.close()
+        assert seen == [b"GET /a HTTP/1.1", b"GET /b HTTP/1.1"]
+
+    @pytest.mark.parametrize("answered", [False, True],
+                             ids=["fresh", "kept-alive"])
+    def test_a_timeout_is_never_retried(self, hung_peer, answered):
+        if answered:     # one answer, then silence on the same socket
+            address, seen = _answer_each_connection(_OK, hold=True)
+            conn = Connection(*address, timeout=0.5)
+        else:
+            url, accepted = hung_peer
+            conn = Connection.to(url, timeout=0.5)
+        try:
+            if answered:
+                assert conn.exchange("GET", "/a").read() == b"ok"
+            t0 = time.monotonic()
+            with pytest.raises(TimeoutError):
+                conn.exchange("GET", "/b")
+            assert time.monotonic() - t0 < 0.9     # one timeout, not two
+            assert conn.opened == 1
+        finally:
+            conn.close()
+        if answered:
+            assert seen == [b"GET /a HTTP/1.1"]
+        else:
+            assert len(accepted) == 1
+
+    def test_refused_connect_is_attempted_once(self, monkeypatch):
+        attempts = []
+        create_connection = socket.create_connection
+
+        def counted(*args, **kwargs):
+            attempts.append(args[0])
+            return create_connection(*args, **kwargs)
+
+        with socket.create_server(("127.0.0.1", 0)) as probe:
+            port = probe.getsockname()[1]   # closed again: nothing listens
+        monkeypatch.setattr(socket, "create_connection", counted)
+        conn = Connection("127.0.0.1", port, timeout=5.0)
+        with pytest.raises(ConnectionRefusedError):
+            conn.exchange("GET", "/")
+        assert attempts == [("127.0.0.1", port)]
+        assert conn.opened == 0
+
+    def test_to_takes_http_urls_only(self):
+        conn = Connection.to("127.0.0.1:8001")
+        assert (conn.host, conn.port) == ("127.0.0.1", 8001)
+        with pytest.raises(ValueError):
+            Connection.to("https://127.0.0.1:8001")

@@ -40,6 +40,7 @@ from repro.serve import (
     serve_http,
     serve_router,
 )
+from repro.serve import http11
 from repro.serve.client import ClientError, ServiceUnavailable
 from repro.serve.router import Replica, spawn_replicas
 from repro.serve.telemetry import (
@@ -344,6 +345,28 @@ class TestHealthAndFailover:
             finally:
                 server.shutdown()
                 svc.close()
+        finally:
+            router.close()
+
+    def test_hung_replica_probe_costs_one_connect_timeout(
+        self, hung_peer, monkeypatch
+    ):
+        """A replica that accepts and never answers holds a probe sweep
+        for one connect timeout, not a forwarding read timeout, and is
+        ejected after ``eject_after`` sweeps."""
+        monkeypatch.setattr(http11, "CONNECT_TIMEOUT_S", 0.5)
+        url, _ = hung_peer
+        router = _make_router([url], eject_after=2)
+        hung = router.replicas[0]
+        try:
+            for sweep in (1, 2):
+                sweeper = threading.Thread(target=router.probe_now,
+                                           daemon=True)
+                sweeper.start()
+                sweeper.join(timeout=0.5 + 0.4)
+                assert not sweeper.is_alive()
+                assert hung.failures == sweep
+            assert not hung.available and hung.ejections == 1
         finally:
             router.close()
 

@@ -111,6 +111,21 @@ class TestPredict:
         ok = service.predict("tiny", ds.images[1], ideal=True)
         assert ok.logits.shape == (1, N_CLASSES)
 
+    def test_bad_first_request_does_not_pin_the_lane_shape(
+        self, setup, service
+    ):
+        """The lane learns its shape from its first batch that completes:
+        a wrong-size first request fails in the engine alone, a right-size
+        request after it is served, and only then is a wrong size refused
+        at submit."""
+        _, ds = setup
+        with pytest.raises(ValueError):
+            service.predict("tiny", np.zeros((3, 32, 32)))
+        ok = service.predict("tiny", ds.images[0], ideal=True)
+        assert ok.logits.shape == (1, N_CLASSES)
+        with pytest.raises(ValueError, match="serving shape"):
+            service.predict_async("tiny", np.zeros((3, 32, 32)))
+
     def test_close_then_predict_raises(self, setup):
         qm, ds = setup
         svc = SconnaService()

@@ -310,18 +310,21 @@ class TestHTTPSurface:
         self, setup, http
     ):
         """``?limit=-3`` would list every stored trace but the three
-        oldest; it is refused.  ``?limit=0`` lists every stored trace."""
+        oldest; it is refused.  ``?limit=0`` lists every stored trace,
+        more than the default 50, and so does ``client.traces(limit=0)``."""
         _, ds = setup
         _, server, _ = http
         with SconnaClient(server.url) as client:
-            for i in range(4):
-                client.predict(ds.images[i], model="tiny", seed=i)
+            for i in range(55):
+                client.predict(ds.images[i % 6], model="tiny", seed=i)
+            listed = client.traces(limit=0)
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(server.url + "/v1/trace?limit=-3")
         assert err.value.code == 400
         with urllib.request.urlopen(server.url + "/v1/trace?limit=0") as resp:
             doc = json.loads(resp.read())
-        assert len(doc["traces"]) == doc["stats"]["store"]["stored"] >= 4
+        assert len(doc["traces"]) == doc["stats"]["store"]["stored"] >= 55
+        assert len(listed) == len(doc["traces"])
 
     def test_prometheus_exposition_from_live_server(self, setup, http):
         _, ds = setup

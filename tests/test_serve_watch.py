@@ -56,6 +56,7 @@ from repro.serve.telemetry import (
     render_exposition,
 )
 from repro.serve.telemetry.watch import (
+    Collector,
     ScrapeTarget,
     SLOEngine,
     TimeSeriesStore,
@@ -65,6 +66,7 @@ from repro.serve.telemetry.watch import (
     make_rule,
     serve_watch,
 )
+from repro.serve.telemetry.watch import collector as collector_module
 from repro.utils.rng import make_rng
 
 
@@ -568,6 +570,23 @@ class TestLiveFleetScrape:
             ) == 0.0
         finally:
             tower.close()
+
+    def test_hung_target_costs_one_timeout(self, hung_peer, monkeypatch):
+        """A target that accepts and never answers fails its scrape after
+        one timeout on one connection; the scrape is not sent again."""
+        monkeypatch.setattr(collector_module, "REQUEST_TIMEOUT_S", 0.5)
+        url, accepted = hung_peer
+        collector = Collector([ScrapeTarget(name="hung", url=url)],
+                              TimeSeriesStore())
+        try:
+            t0 = time.monotonic()
+            summary = collector.scrape_once(0.0)
+            elapsed = time.monotonic() - t0
+        finally:
+            collector.close()
+        assert summary["failed"] == 1
+        assert elapsed < 0.5 + 0.4
+        assert len(accepted) == 1
 
 
 # ---------------------------------------------------------------------------
