@@ -270,7 +270,7 @@ def run_router_scenario(
         extra += ["--backend", "process", "--shards", str(n_shards)]
     processes, urls = spawn_replicas(
         str(registry_root), n_replicas, _free_base_port(n_replicas),
-        extra_args=extra, wait_s=120.0,
+        extra_args=extra,
     )
     router = Router(
         urls, policy=RouterPolicy(health_interval_s=0.5, max_retries=3)

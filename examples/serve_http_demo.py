@@ -14,8 +14,6 @@ requests and reap shard processes, and the service's metrics snapshot
 
 Run:  PYTHONPATH=src python examples/serve_http_demo.py
       PYTHONPATH=src python examples/serve_http_demo.py --backend process --shards 2
-      PYTHONPATH=src python examples/serve_http_demo.py --backend process \
-          --placement snet=0
       PYTHONPATH=src python examples/serve_http_demo.py --wire json
       PYTHONPATH=src python examples/serve_http_demo.py --trace --log-requests
 """
@@ -47,9 +45,6 @@ def main() -> None:
                         help="execution backend (default: thread)")
     parser.add_argument("--shards", type=int, default=2,
                         help="worker processes for --backend process")
-    parser.add_argument("--placement", default=None,
-                        help="shard placement for the demo model, e.g. "
-                             "'snet=0' (default: every shard)")
     parser.add_argument("--wire", default="frame",
                         choices=("frame", "npy", "json"),
                         help="HTTP request encoding (default: frame - the "
@@ -63,17 +58,6 @@ def main() -> None:
                              "on stderr (the access log the server uses "
                              "instead of ad-hoc prints)")
     args = parser.parse_args()
-    placement = None
-    if args.placement is not None:
-        from repro.serve import ShardPlacement
-
-        try:
-            policy = ShardPlacement.parse(args.placement)
-            for name in policy.assignments:
-                policy.shards_for(name, args.shards)
-        except ValueError as exc:
-            parser.error(str(exc))
-        placement = policy.assignments.get("snet")
 
     print("training snet_proxy (short run - this is a serving demo) ...")
     dataset = generate_dataset(n_per_class=60, seed=0)
@@ -94,9 +78,7 @@ def main() -> None:
             tracer=Tracer(POLICY_ALWAYS if args.trace else None),
             request_log=StructuredLogger() if args.log_requests else None,
         )
-        service.add_from_registry(
-            registry, "snet", warm_shape=(3, 24, 24), placement=placement
-        )
+        service.add_from_registry(registry, "snet", warm_shape=(3, 24, 24))
         server, _ = serve_http(service)
         # a signal now drains every lane and reaps shard processes
         # instead of leaving orphans behind

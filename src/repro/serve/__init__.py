@@ -14,8 +14,8 @@ cost):
 * :mod:`repro.serve.backends`  - the :class:`ExecutionBackend` seam and
   its implementations: :class:`ThreadBackend` (one process, a warm
   thread pool) and :class:`ProcessBackend` (N shard worker processes
-  loading models through the NPZ serialization, with crash respawn,
-  in-flight redispatch, and per-model :class:`ShardPlacement`),
+  that each load every model through the NPZ serialization, with
+  crash respawn and in-flight redispatch),
 * :mod:`repro.serve.shm`       - the shared-memory ring transport the
   process backend moves batch tensors through (descriptors on the pipe,
   payload bytes in ``/dev/shm``; logits return on the pipe),
@@ -63,7 +63,6 @@ from repro.serve.backends import (
     BatchResult,
     ExecutionBackend,
     ProcessBackend,
-    ShardPlacement,
     ThreadBackend,
     make_backend,
 )
@@ -138,7 +137,6 @@ __all__ = [
     "BatchResult",
     "ExecutionBackend",
     "ProcessBackend",
-    "ShardPlacement",
     "ThreadBackend",
     "make_backend",
     "RingAllocator",

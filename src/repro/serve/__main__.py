@@ -2,8 +2,9 @@
 
 Serves registry models over HTTP/1.1 (JSON and the binary tensor wire
 of :mod:`repro.serve.wire`), with backend selection (``--backend
---shards --placement``; the thread backend runs one worker per usable
-core) and admission control (``--max-inflight --max-queued-mb``).
+--shards``; the thread backend runs one worker per usable core, and
+every shard loads every model) and admission control
+(``--max-inflight --max-queued-mb``).
 
 Delegates to :func:`repro.serve.httpd.main` (this entry avoids the
 runpy double-import warning that ``python -m repro.serve.httpd`` prints

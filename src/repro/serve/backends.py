@@ -24,12 +24,10 @@ Two implementations:
   ``multiprocessing.shared_memory`` ring per shard with only descriptors
   on the pipe; a batch rides the pipe itself only when its shard's ring
   is full, too small for it, or missing.  Logits return in the shard's
-  reply on the pipe, read by per-shard collector threads.
-  :class:`ShardPlacement` routes each model to a shard subset (default:
-  all).  A shard that dies is reaped, respawned (up to
-  :data:`MAX_RESTARTS`), its placed models reloaded, its ring unlinked
-  and recreated, and its in-flight batches redispatched to live
-  shards.
+  reply on the pipe, read by per-shard collector threads.  Every shard
+  loads every model.  A shard that dies is reaped, respawned (up to
+  :data:`MAX_RESTARTS`), its models reloaded, its ring unlinked and
+  recreated, and its in-flight batches redispatched to live shards.
 
 Both backends execute a batch through one function,
 :func:`execute_batch`, and warm a model through :func:`warm_up`.
@@ -77,7 +75,7 @@ from repro.utils.cores import usable_cores
 _MP = multiprocessing.get_context("spawn")
 #: crash respawns one ProcessBackend performs before a dead slot stays dead
 MAX_RESTARTS = 3
-#: seconds add_model waits for every placed shard to acknowledge a load
+#: seconds add_model waits for every shard to acknowledge a load
 LOAD_TIMEOUT_S = 180.0
 
 
@@ -129,66 +127,6 @@ def warm_up(qmodel, mode: str, shape: "tuple[int, int, int, int]") -> None:
     qmodel.forward(np.zeros(shape), mode=mode, error_model=error_model)
 
 
-class ShardPlacement:
-    """Per-model shard placement policy for :class:`ProcessBackend`.
-
-    Maps model names to the shard slots allowed to host them; a model
-    with no assignment runs on every shard (the historical behaviour).
-    Placement keeps a model with a big working set from occupying every
-    shard runtime: its lane dispatches only to its subset, and only
-    those shards ever load its weights.
-
-    ``assignments`` is ``{model_name: [slot, ...]}``.  Slots are
-    validated against the backend's shard count by :meth:`shards_for`,
-    so a policy can be parsed and checked before any shard exists; each
-    model's slots then go to ``add_model(..., placement=...)``.
-    """
-
-    def __init__(self, assignments: "dict[str, object] | None" = None) -> None:
-        self.assignments: "dict[str, tuple[int, ...]]" = {}
-        for name, slots in (assignments or {}).items():
-            resolved = tuple(sorted({int(s) for s in slots}))
-            if not resolved:
-                raise ValueError(f"placement for {name!r} is empty")
-            if any(s < 0 for s in resolved):
-                raise ValueError(f"placement for {name!r} has negative slots")
-            self.assignments[str(name)] = resolved
-
-    def shards_for(self, name: str, n_shards: int) -> "tuple[int, ...]":
-        """The validated slot subset for ``name`` (default: all)."""
-        slots = self.assignments.get(name)
-        if slots is None:
-            return tuple(range(n_shards))
-        bad = [s for s in slots if s >= n_shards]
-        if bad:
-            raise ValueError(
-                f"placement for {name!r} names shard(s) {bad} but the "
-                f"backend has only {n_shards} shard(s)"
-            )
-        return slots
-
-    @classmethod
-    def parse(cls, spec: str) -> "ShardPlacement":
-        """Parse a CLI spec: ``"modelA=0,1;modelB=2"``."""
-        assignments: "dict[str, list[int]]" = {}
-        for part in spec.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ValueError(
-                    f"bad placement {part!r}; expected 'model=slot,slot,...'"
-                )
-            name, slots = part.split("=", 1)
-            try:
-                assignments[name.strip()] = [
-                    int(tok) for tok in slots.split(",") if tok.strip()
-                ]
-            except ValueError:
-                raise ValueError(f"bad placement slots in {part!r}") from None
-        return cls(assignments)
-
-
 class ExecutionBackend(abc.ABC):
     """Executes coalesced batches for named models.
 
@@ -209,16 +147,13 @@ class ExecutionBackend(abc.ABC):
         mode: str,
         archive: "object | None" = None,
         warm: "tuple[int, int, int, int] | None" = None,
-        placement: "object | None" = None,
     ) -> None:
         """Make ``name`` executable.
 
         ``archive`` is the model's registry NPZ path when one exists
         (process shards load from it); ``warm`` is an optional
         ``(n, C, H, W)`` dummy-batch shape every worker runs once so
-        first real batches find hot buffers.  ``placement`` is an
-        optional shard-slot subset for this model (process backend
-        only; backends without shards ignore it).
+        first real batches find hot buffers.
         """
 
     @abc.abstractmethod
@@ -296,12 +231,7 @@ class ThreadBackend(ExecutionBackend):
             self._tasks.put(warmer)
         barrier.wait(timeout)
 
-    def add_model(
-        self, name, qmodel, mode, archive=None, warm=None, placement=None
-    ) -> None:
-        # placement is a sharding concept; the thread pool shares one
-        # runtime, so it is accepted (the service passes it uniformly)
-        # and ignored
+    def add_model(self, name, qmodel, mode, archive=None, warm=None) -> None:
         if self._closed:
             raise RuntimeError("backend is closed")
         self._models[name] = (qmodel, mode)
@@ -392,7 +322,6 @@ class _Inflight:
     sizes: "list[int]"
     on_done: object
     dispatched_at: float
-    slots: "tuple[int, ...]" = ()   #: shard slots this model is placed on
     #: telemetry Traces of the batch's sampled requests (retained across
     #: a crash-redispatch, like the payload) and the picklable span
     #: context the shard receives on the pipe alongside the RNG state
@@ -557,13 +486,12 @@ def _shard_reply(conn, reply: tuple) -> None:
 class ProcessBackend(ExecutionBackend):
     """Multi-process sharded execution: N worker processes behind pipes.
 
-    Dispatch is least-loaded over the live shards a model is *placed*
-    on (``add_model(..., placement=)``; default every shard).  Each
-    shard executes its batches serially in arrival order, so a model's
-    ``load`` (sent first, pipe ordering) is always visible before its
-    batches.  Crash handling: the shard's collector thread sees pipe
-    EOF, the backend reaps the process, respawns the slot (replaying the
-    model loads placed there), and redispatches the dead shard's
+    Every shard loads every model, and dispatch picks the least-loaded
+    live shard.  Each shard executes its batches serially in arrival
+    order, so a model's ``load`` (sent first, pipe ordering) is always
+    visible before its batches.  Crash handling: the shard's collector
+    thread sees pipe EOF, the backend reaps the process, respawns the
+    slot (replaying every model load), and redispatches the dead shard's
     in-flight batches - at-least-once execution whose results are
     identical because each batch carries its own pickled RNG state.
 
@@ -602,7 +530,7 @@ class ProcessBackend(ExecutionBackend):
         self._lock = threading.RLock()
         self._drained = threading.Condition(self._lock)
         self._admin_lock = threading.Lock()  # serializes add_model acks
-        self._models: "dict[str, tuple[str, _ModelSrc, object, tuple[int, ...]]]" = {}
+        self._models: "dict[str, tuple[str, _ModelSrc, object]]" = {}
         self._bids = itertools.count(1)
         self._tokens = itertools.count(1)
         self._closed = False
@@ -669,14 +597,13 @@ class ProcessBackend(ExecutionBackend):
             name=f"sconna-shard-{slot}-collector", daemon=True,
         )
         shard.reader.start()
-        # replay the models placed on this slot into the fresh runtime
-        # (token None: respawn replays are fire-and-forget; pipe ordering
-        # still guarantees the load lands before any redispatched batch)
+        # replay every model into the fresh runtime (token None: respawn
+        # replays are fire-and-forget; pipe ordering still guarantees the
+        # load lands before any redispatched batch)
         with self._lock:
             replay = list(self._models.items())
-        for name, (mode, src, warm, slots) in replay:
-            if slot in slots:
-                shard.send(("load", None, name, src[0], src[1], mode, warm))
+        for name, (mode, src, warm) in replay:
+            shard.send(("load", None, name, src[0], src[1], mode, warm))
         return shard
 
     def _collect(self, shard: _Shard) -> None:
@@ -782,32 +709,19 @@ class ProcessBackend(ExecutionBackend):
                     self._drained.notify_all()
 
     # -- model management ------------------------------------------------
-    def _resolve_placement(self, name, placement) -> "tuple[int, ...]":
-        """The shard slots hosting ``name``: the given slots, validated,
-        or every shard."""
-        n = len(self._shards)
-        if placement is None:
-            return tuple(range(n))
-        return ShardPlacement({name: placement}).shards_for(name, n)
-
-    def add_model(
-        self, name, qmodel, mode, archive=None, warm=None, placement=None
-    ) -> None:
+    def add_model(self, name, qmodel, mode, archive=None, warm=None) -> None:
         if archive is not None:
             src: _ModelSrc = ("path", str(archive))
         else:
             from repro.cnn.serialization import dumps_quantized_model
 
             src = ("bytes", dumps_quantized_model(qmodel))
-        slots = self._resolve_placement(name, placement)
         with self._admin_lock:
             with self._lock:
                 if self._closed:
                     raise RuntimeError("backend is closed")
-                self._models[name] = (mode, src, warm, slots)
-                shards = [
-                    s for s in self._shards if s.alive and s.slot in slots
-                ]
+                self._models[name] = (mode, src, warm)
+                shards = [s for s in self._shards if s.alive]
             token = next(self._tokens)
             for shard in shards:
                 try:
@@ -846,10 +760,8 @@ class ProcessBackend(ExecutionBackend):
         with self._lock:
             if self._closed:
                 raise RuntimeError("backend is closed")
-            entry = self._models.get(name)
-            if entry is None:
+            if name not in self._models:
                 raise KeyError(f"backend has no model {name!r}")
-            slots = entry[3]
         traces = [r.trace for r in batch if r.trace is not None]
         tctx = None
         if traces:
@@ -864,32 +776,28 @@ class ProcessBackend(ExecutionBackend):
                 sizes=[r.n_images for r in batch],
                 on_done=on_done,
                 dispatched_at=time.monotonic(),
-                slots=slots,
                 traces=traces,
                 tctx=tctx,
             )
         )
 
     def _dispatch(self, item: _Inflight) -> None:
-        """Assign one batch to the least-loaded live shard in the
-        model's placement and send it - through the shard's tx ring when
-        it has room, over the pipe otherwise (a full ring, a batch larger
-        than the ring, or a shard without a ring never stalls dispatch).
+        """Assign one batch to the least-loaded live shard and send it -
+        through the shard's tx ring when it has room, over the pipe
+        otherwise (a full ring, a batch larger than the ring, or a shard
+        without a ring never stalls dispatch).
 
-        Raises when no placed shard is alive; a send that fails because
-        the chosen shard just died is *not* an error - the entry is
-        already in that shard's in-flight table, so the collector's exit
-        path redispatches it.
+        Raises when no shard is alive; a send that fails because the
+        chosen shard just died is *not* an error - the entry is already
+        in that shard's in-flight table, so the collector's exit path
+        redispatches it.
         """
         with self._lock:
-            live = [
-                s for s in self._shards if s.alive and s.slot in item.slots
-            ]
+            live = [s for s in self._shards if s.alive]
             if not live:
                 raise RuntimeError(
                     f"no live shards for model {item.name!r} "
-                    f"(placement {sorted(item.slots)}; exceeded "
-                    "MAX_RESTARTS or closing)"
+                    "(exceeded MAX_RESTARTS or closing)"
                 )
             shard = min(live, key=lambda s: len(s.inflight))
             bid = next(self._bids)
@@ -920,19 +828,12 @@ class ProcessBackend(ExecutionBackend):
     # -- introspection / lifecycle ---------------------------------------
     def info(self) -> dict:
         with self._lock:
-            placement = {
-                name: list(entry[3]) for name, entry in self._models.items()
-            }
             per_shard = [
                 {
                     "shard": s.slot,
                     "alive": s.alive,
                     "pid": getattr(s.process, "pid", None),
                     "in_flight": len(s.inflight),
-                    "models": sorted(
-                        name for name, entry in self._models.items()
-                        if s.slot in entry[3]
-                    ),
                     "ring_bytes_in_use": (
                         s.tx_alloc.in_use if s.tx_alloc is not None else None
                     ),
@@ -951,7 +852,6 @@ class ProcessBackend(ExecutionBackend):
                 "ring_bytes": self.ring_bytes,
                 "shm_batches": self._shm_batches,
                 "pipe_fallbacks": self._pipe_fallbacks,
-                "placement": placement,
                 "per_shard": per_shard,
             }
 

@@ -23,8 +23,11 @@ Coalescing rules:
   ``max_batch_size`` is dispatched as its own oversized batch (this
   keeps each request's RNG stream contiguous, see
   :class:`repro.stochastic.error_models.PerRequestErrorModels`);
-* a gathered request that would overflow the open batch is carried over
-  as the first member of the next batch, preserving arrival order.
+* a gathered request that would overflow the open batch, or whose
+  image shape differs from the batch's first request, is carried over
+  as the first member of the next batch, preserving arrival order (so a
+  malformed request fails alone instead of failing its neighbours'
+  concatenation).
 
 Shutdown is graceful by default: :meth:`close` rejects new submissions,
 drains everything already queued through the dispatcher, then joins the
@@ -216,7 +219,8 @@ class MicroBatcher:
                 if item is _SENTINEL:
                     stopping = True
                     continue
-                if n + item.n_images > cap:
+                if (n + item.n_images > cap
+                        or item.images.shape[1:] != first.images.shape[1:]):
                     self._carry = item
                     break
                 batch.append(item)

@@ -88,16 +88,14 @@ Routes::
 Also a standalone server CLI with execution-backend selection::
 
     python -m repro.serve --registry MODELS_DIR \
-        --backend process --shards 4 \
-        --placement "big=0,1;small=2,3" --max-inflight 256 --port 8000
+        --backend process --shards 4 --max-inflight 256 --port 8000
 
 serves every model in the registry (or ``--model`` picks some) on one
-worker thread per usable core, or on ``--shards`` worker processes;
-``--placement`` overrides the shard slots a model's manifest stores.
-It installs SIGINT/SIGTERM handlers that drain in-flight requests and
-reap shard processes, blocks until a signal arrives, and prints the
-aggregated backend topology (shards, ring and pipe batch counts,
-per-model placement) on exit.
+worker thread per usable core, or on ``--shards`` worker processes,
+each of which loads every model.  It installs SIGINT/SIGTERM handlers
+that drain in-flight requests and reap shard processes, blocks until a
+signal arrives, and prints the aggregated backend topology (shards,
+ring and pipe batch counts) on exit.
 """
 
 from __future__ import annotations
@@ -124,6 +122,9 @@ from repro.serve.wire import (
 
 #: request body cap (a (n,3,224,224) float image batch fits comfortably)
 MAX_BODY_BYTES = 256 * 1024 * 1024
+#: longest a predict request waits for its result (each frame of a
+#: split stream waits this long for its own)
+REQUEST_TIMEOUT_S = 60.0
 
 _TRUE_WORDS = frozenset(("1", "true", "yes", "on"))
 _FALSE_WORDS = frozenset(("0", "false", "no", "off", ""))
@@ -434,7 +435,7 @@ class _ServeHandler(http11.RequestHandler):
                 ideal=fields["ideal"],
                 top_k=fields["top_k"],
                 with_cost=fields["cost"],
-                timeout=self.server.request_timeout_s,
+                timeout=REQUEST_TIMEOUT_S,
                 trace=trace,
             )
         except Exception as exc:
@@ -537,7 +538,7 @@ class _ServeHandler(http11.RequestHandler):
             return
         n = int(images.shape[0])
         seeded = fields["seed"] is not None and not fields["ideal"]
-        timeout = self.server.request_timeout_s
+        timeout = REQUEST_TIMEOUT_S
         kwargs = dict(
             ideal=fields["ideal"], top_k=fields["top_k"],
             with_cost=fields["cost"],
@@ -637,12 +638,10 @@ class ServeHTTPServer(http11.HTTPServer):
         service,
         host: str = "127.0.0.1",
         port: int = 0,
-        request_timeout_s: float = 60.0,
         replica_id: "str | None" = None,
         handler_class: "type | None" = None,
     ) -> None:
         self.service = service
-        self.request_timeout_s = request_timeout_s
         #: fleet identity: when set, every response carries it in
         #: X-Sconna-Replica and /healthz reports it (a router learns
         #: replica names this way)
@@ -695,11 +694,6 @@ def main(argv: "list[str] | None" = None) -> None:
                         help="execution backend (default: thread)")
     parser.add_argument("--shards", type=int, default=2,
                         help="worker processes for --backend process")
-    parser.add_argument("--placement", default=None,
-                        help="per-model shard placement, e.g. "
-                             "'modelA=0,1;modelB=2'; overrides a manifest's "
-                             "placement (default: the manifest's, else "
-                             "every shard)")
     parser.add_argument("--max-batch-size", type=int, default=32)
     parser.add_argument("--max-inflight", type=int, default=None,
                         help="admission control: requests in flight before "
@@ -734,20 +728,6 @@ def main(argv: "list[str] | None" = None) -> None:
     names = args.model or registry.names()
     if not names:
         parser.error(f"registry {args.registry!r} has no models")
-    placement: "dict[str, tuple[int, ...]]" = {}
-    if args.placement is not None:
-        from repro.serve.backends import ShardPlacement
-
-        try:
-            policy = ShardPlacement.parse(args.placement)
-            # validate slot ranges *before* any shard process exists,
-            # so a typo'd slot is a usage error, not a traceback over a
-            # half-built service
-            for model_name in policy.assignments:
-                policy.shards_for(model_name, args.shards)
-        except ValueError as exc:
-            parser.error(str(exc))
-        placement = policy.assignments
     admission = None
     if args.max_inflight is not None or args.max_queued_mb is not None:
         admission = AdmissionPolicy(
@@ -778,10 +758,7 @@ def main(argv: "list[str] | None" = None) -> None:
         request_log=request_log,
     )
     for name in names:
-        # --placement overrides the manifest's slots for the models it names
-        service.add_from_registry(
-            registry, name, placement=placement.get(name)
-        )
+        service.add_from_registry(registry, name)
     server, _ = serve_http(
         service, host=args.host, port=args.port, replica_id=args.replica_id,
     )

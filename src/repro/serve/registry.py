@@ -45,9 +45,6 @@ class RegistryEntry:
     arch_model: str | None = None   #: linked zoo architecture, if any
     created_at: float = 0.0         #: unix timestamp of registration
     metadata: dict = field(default_factory=dict)
-    #: preferred shard slots under the process backend (None: every
-    #: shard) - the serving layer's default placement for this model
-    placement: "tuple[int, ...] | None" = None
 
     def as_dict(self) -> dict:
         """JSON-serializable entry summary (what ``/v1/models`` lists)."""
@@ -58,7 +55,6 @@ class RegistryEntry:
             "arch_model": self.arch_model,
             "created_at": self.created_at,
             "metadata": self.metadata,
-            "placement": None if self.placement is None else list(self.placement),
         }
 
 
@@ -76,25 +72,14 @@ class ModelRegistry:
         qmodel: QuantizedModel,
         arch_model: str | None = None,
         metadata: dict | None = None,
-        placement: "object | None" = None,
     ) -> RegistryEntry:
-        """Store ``qmodel`` under ``name`` (overwrites an existing entry).
-
-        ``placement`` persists a preferred shard-slot subset in the
-        manifest; ``SconnaService.add_from_registry`` applies it as the
-        model's default placement under the process backend.
-        """
+        """Store ``qmodel`` under ``name`` (overwrites an existing entry)."""
         _check_name(name)
         if arch_model is not None and arch_model not in MODEL_BUILDERS:
             raise ValueError(
                 f"unknown arch_model {arch_model!r}; "
                 f"available: {sorted(MODEL_BUILDERS)}"
             )
-        if placement is not None:
-            # one source of truth for slot normalization/validation
-            from repro.serve.backends import ShardPlacement
-
-            placement = ShardPlacement({name: placement}).assignments[name]
         path = self.root / f"{name}.npz"
         qmodel.save(path)
         entry = RegistryEntry(
@@ -104,7 +89,6 @@ class ModelRegistry:
             arch_model=arch_model,
             created_at=time.time(),
             metadata=dict(metadata or {}),
-            placement=placement,
         )
         manifest = entry.as_dict()
         (self.root / f"{name}.json").write_text(json.dumps(manifest, indent=2))
@@ -130,9 +114,9 @@ class ModelRegistry:
         if not manifest_path.exists():
             raise KeyError(f"no registered model named {name!r}")
         manifest = json.loads(manifest_path.read_text())
-        placement = manifest.get("placement")
-        # keys this revision does not know (e.g. the "autotune" kernel
-        # picks older manifests mirrored) are ignored
+        # keys this revision does not know are ignored: the "autotune"
+        # kernel picks and the per-model shard "placement" older
+        # manifests carry (every shard now serves every model)
         return RegistryEntry(
             name=manifest["name"],
             path=self.root / manifest["file"],
@@ -140,8 +124,6 @@ class ModelRegistry:
             arch_model=manifest.get("arch_model"),
             created_at=float(manifest.get("created_at", 0.0)),
             metadata=manifest.get("metadata", {}),
-            placement=None if placement is None
-            else tuple(int(s) for s in placement),
         )
 
     def load(self, name: str) -> QuantizedModel:

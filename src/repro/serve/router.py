@@ -12,13 +12,13 @@ Design, in the order an operator cares:
 
 * **Per-model consistent routing.**  Each model name is rendezvous-
   hashed over the replica set (highest-random-weight: score =
-  ``sha256(model | replica_url)``), and its requests prefer the top
-  ``lanes_per_model`` replicas.  This is the
-  :class:`~repro.serve.backends.ShardPlacement` idiom one level up:
-  a model's batching lane, warm engine buffers, and compiled plans
-  stay hot on a small replica subset instead of being diluted across
-  the whole fleet, and adding/removing a replica only remaps the
-  models that hashed onto it.
+  ``sha256(model | replica_url)``), and its requests go to the
+  top-ranked available replica; the rest of the order takes them
+  only while that one is out.  Every replica serves every model, so
+  this is for warmth, not capacity: a model's batching lane, warm
+  engine buffers, and compiled plans stay hot on one replica instead
+  of being diluted across the whole fleet, and adding/removing a
+  replica only remaps the models that hashed onto it.
 * **Health checks with ejection and re-admission.**  A background
   prober GETs every replica's ``/healthz`` on an interval, each probe
   on a connection of its own bounded by
@@ -48,8 +48,9 @@ Design, in the order an operator cares:
 * **Graceful drain.**  :meth:`Router.drain` (or ``POST
   /v1/router/drain?replica=...``) marks a replica draining: no new
   requests are routed to it, in-flight ones complete, and the call
-  returns when the replica is idle - restart it, and the health
-  prober re-admits it.  ``undrain`` reverses the mark.
+  returns when the replica is idle (with ``timeout=0``, right after
+  the mark) - restart it, and the health prober re-admits it.
+  ``undrain`` reverses the mark.
 * **Fleet-wide metrics.**  ``GET /v1/metrics`` fetches every live
   replica's raw counter state (``/v1/metrics?format=state``, the same
   export shards ship to their parent) and folds them through
@@ -75,8 +76,8 @@ Routes (the predict/metrics/trace surface mirrors a single server, so
     GET  /v1/metrics            -> fleet-merged snapshot (+ fleet/router
                                    sections); ?format=prometheus
     GET  /v1/trace[...]         -> the router's own trace store
-    GET  /v1/router             -> routing topology (per-replica state,
-                                   per-model preferred lanes)
+    GET  /v1/router             -> routing topology (policy and
+                                   per-replica state, read in memory)
     POST /v1/router/drain       -> ?replica=<url|id> graceful drain
     POST /v1/router/undrain     -> ?replica=<url|id> accept traffic again
     POST /v1/predict            -> routed + relayed (streaming included)
@@ -122,6 +123,8 @@ _HOP_HEADERS = frozenset((
 _RELAY_DROP = _HOP_HEADERS | {"date", "server"}
 #: longest wait for one read or write on a forwarding connection
 UPSTREAM_TIMEOUT_S = 120.0
+#: longest spawn_replicas waits for its replicas to answer /healthz
+SPAWN_WAIT_S = 120.0
 
 
 class ReplicaError(RuntimeError):
@@ -132,15 +135,12 @@ class ReplicaError(RuntimeError):
 class RouterPolicy:
     """Tunables of one :class:`Router`.
 
-    ``lanes_per_model`` is the preferred replica-subset size per model
-    (the consistent-routing fan-out; requests spill past it only when
-    every preferred replica is out).  ``eject_after`` /
-    ``readmit_after`` are consecutive health-probe failures/successes
-    before a replica leaves/rejoins the rotation.  ``max_retries``
-    bounds forward attempts per request (1 = never redispatch).
+    ``eject_after`` / ``readmit_after`` are consecutive health-probe
+    failures/successes before a replica leaves/rejoins the rotation.
+    ``max_retries`` bounds forward attempts per request (1 = never
+    redispatch).
     """
 
-    lanes_per_model: int = 2
     health_interval_s: float = 1.0
     eject_after: int = 2
     readmit_after: int = 2
@@ -148,8 +148,6 @@ class RouterPolicy:
     retry_after_s: float = 0.25     #: Retry-After hint on a 503
 
     def __post_init__(self) -> None:
-        if self.lanes_per_model < 1:
-            raise ValueError("lanes_per_model must be >= 1")
         if self.eject_after < 1 or self.readmit_after < 1:
             raise ValueError("eject_after/readmit_after must be >= 1")
         if self.max_retries < 1:
@@ -158,7 +156,6 @@ class RouterPolicy:
     def as_dict(self) -> dict:
         """JSON-serializable policy knobs (reported under ``/v1/router``)."""
         return {
-            "lanes_per_model": self.lanes_per_model,
             "health_interval_s": self.health_interval_s,
             "eject_after": self.eject_after,
             "readmit_after": self.readmit_after,
@@ -364,9 +361,9 @@ class Router:
         """Every replica in this request's routing order.
 
         A named model gets its rendezvous-hash order (stable across
-        requests, so its preferred ``lanes_per_model`` replicas keep
-        its lanes warm; the rest follow as spill-over).  A model-less
-        request round-robins so un-routable work still spreads.
+        requests, so its first replica keeps its lane warm; the rest
+        follow as spill-over).  A model-less request round-robins so
+        un-routable work still spreads.
         """
         if model:
             return sorted(
@@ -378,14 +375,8 @@ class Router:
         start = next(self._rr) % n
         return [self.replicas[(start + i) % n] for i in range(n)]
 
-    def lanes_for(self, model: str) -> "list[str]":
-        """The model's preferred replica subset (the warm lanes)."""
-        ranked = self.ranked(model)
-        return [r.url for r in ranked[: self.policy.lanes_per_model]]
-
     def candidates(self, model: "str | None") -> "list[Replica]":
-        """Available replicas in routing order, preferred lanes first
-        (:meth:`ranked` lists the lanes first; filtering keeps order)."""
+        """Available replicas in :meth:`ranked` order."""
         return [r for r in self.ranked(model) if r.available]
 
     # -- forwarding ------------------------------------------------------
@@ -500,13 +491,16 @@ class Router:
         """Stop routing to a replica and wait until it is idle.
 
         Returns its final state; the replica can then be restarted
-        safely - no request is in flight on it.  The health prober
-        keeps probing a draining replica, so after a restart an
+        safely - no request is in flight on it.  ``timeout=0`` returns
+        the state right after the mark, without waiting.  The health
+        prober keeps probing a draining replica, so after a restart an
         ``undrain`` (or router restart) re-admits it with warm state.
         """
         replica = self._find(key)
         with replica._lock:
             replica.draining = True
+        if timeout == 0:
+            return replica.state()
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             with replica._lock:
@@ -634,14 +628,11 @@ class Router:
         return snap
 
     def topology(self) -> dict:
-        """The ``GET /v1/router`` document: replica states plus each
-        served model's preferred lanes."""
+        """The ``GET /v1/router`` document: the policy and every
+        replica's state, read in memory (no upstream request)."""
         return {
             "policy": self.policy.as_dict(),
             "replicas": [r.state() for r in self.replicas],
-            "model_lanes": {
-                model: self.lanes_for(model) for model in self.models()
-            },
         }
 
     def close(self) -> None:
@@ -879,15 +870,14 @@ def spawn_replicas(
     base_port: int,
     host: str = "127.0.0.1",
     extra_args: "list[str] | None" = None,
-    wait_s: float = 30.0,
 ):
     """Spawn ``n_replicas`` local ``python -m repro.serve`` processes.
 
     Each replica serves the given registry on ``base_port + i`` with
     ``--replica-id replica-<i>``; the call blocks until every replica
-    answers ``/healthz`` (or raises after ``wait_s``).  Returns
-    ``(processes, urls)``; terminate the processes (SIGTERM drains
-    them) when done.
+    answers ``/healthz``, and raises when one exits first or
+    :data:`SPAWN_WAIT_S` passes.  Returns ``(processes, urls)``;
+    terminate the processes (SIGTERM drains them) when done.
     """
     import subprocess
     import sys
@@ -904,8 +894,8 @@ def spawn_replicas(
         ] + list(extra_args or ())
         processes.append(subprocess.Popen(cmd))
         urls.append(f"http://{host}:{port}")
-    deadline = time.monotonic() + wait_s
-    for url in urls:
+    deadline = time.monotonic() + SPAWN_WAIT_S
+    for proc, url in zip(processes, urls):
         while True:
             try:
                 status, _ = fetch(
@@ -915,9 +905,14 @@ def spawn_replicas(
                     break
             except OSError:
                 pass
-            if time.monotonic() >= deadline:
-                for proc in processes:
-                    proc.terminate()
+            exited = proc.poll() is not None
+            if exited or time.monotonic() >= deadline:
+                for other in processes:
+                    other.terminate()
+                if exited:
+                    raise RuntimeError(
+                        f"replica {url} exited with status {proc.returncode}"
+                    )
                 raise TimeoutError(f"replica {url} never became healthy")
             time.sleep(0.1)
     return processes, urls
@@ -949,9 +944,6 @@ def main(argv: "list[str] | None" = None) -> None:
                         help="first spawned replica port (default: 8001)")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8000)
-    parser.add_argument("--lanes-per-model", type=int, default=2,
-                        help="preferred replica-subset size per model "
-                             "(consistent routing fan-out; default: 2)")
     parser.add_argument("--health-interval", type=float, default=1.0,
                         help="seconds between health-probe sweeps")
     parser.add_argument("--eject-after", type=int, default=2,
@@ -984,7 +976,6 @@ def main(argv: "list[str] | None" = None) -> None:
     from repro.serve.telemetry import StructuredLogger
 
     policy = RouterPolicy(
-        lanes_per_model=args.lanes_per_model,
         health_interval_s=args.health_interval,
         eject_after=args.eject_after,
         readmit_after=args.readmit_after,
@@ -1007,8 +998,7 @@ def main(argv: "list[str] | None" = None) -> None:
     for signum in (signal_module.SIGINT, signal_module.SIGTERM):
         signal_module.signal(signum, _stop)
     print(f"routing {len(urls)} replica(s) at {server.url}  "
-          f"(lanes_per_model={policy.lanes_per_model}, "
-          f"eject_after={policy.eject_after})")
+          f"(eject_after={policy.eject_after})")
     for url in urls:
         print(f"  replica: {url}")
     try:

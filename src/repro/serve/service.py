@@ -137,7 +137,6 @@ class SconnaService:
         arch_model: str | None = None,
         warm_shape: "tuple[int, int, int] | None" = None,
         archive: "object | None" = None,
-        placement: "object | None" = None,
     ) -> None:
         """Register a model under ``name`` and open its batching lane.
 
@@ -150,10 +149,6 @@ class SconnaService:
         does not pay allocation costs.  ``archive`` is the model's NPZ
         path when one exists (e.g. from a registry): the process backend
         has its shards load from it instead of re-serializing.
-        ``placement`` (a list of shard slots) routes this model's lane to
-        that subset under the process backend (default: every shard);
-        only those shards load the model, and its batches dispatch only
-        to them.
         """
         if self._closed:
             raise RuntimeError("service is closed")
@@ -177,10 +172,8 @@ class SconnaService:
             warm = (min(lane_policy.max_batch_size, 4), c, h, w)
         # the backend must be able to execute the model before the lane
         # opens; under the process backend this blocks until every
-        # placed shard acknowledges the load
-        self._backend.add_model(
-            name, qmodel, mode, archive=archive, warm=warm, placement=placement
-        )
+        # shard acknowledges the load
+        self._backend.add_model(name, qmodel, mode, archive=archive, warm=warm)
         if descriptor is not None:
             self.costs.prewarm(descriptor)
         entry.batcher = MicroBatcher(
@@ -200,14 +193,12 @@ class SconnaService:
         mode: str | None = None,
         policy: BatchingPolicy | None = None,
         warm_shape: "tuple[int, int, int] | None" = None,
-        placement: "object | None" = None,
     ) -> None:
         """Load a registry entry and serve it under its registered name.
 
         The registry archive doubles as the hand-off point to shard
         worker processes, so a registry-backed model is never
-        re-serialized for the process backend.  Shard placement comes
-        from the manifest's ``placement`` field unless overridden here.
+        re-serialized for the process backend.
         """
         reg_entry = registry.entry(name)
         self.add_model(
@@ -218,7 +209,6 @@ class SconnaService:
             arch_model=reg_entry.arch_model,
             warm_shape=warm_shape,
             archive=registry.archive_path(name),
-            placement=placement if placement is not None else reg_entry.placement,
         )
 
     def models(self) -> "list[str]":

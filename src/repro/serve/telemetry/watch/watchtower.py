@@ -12,9 +12,9 @@ Auto-drain safety - remediation must never make an outage worse:
   only observes and alerts;
 * **cooldown**: one drain attempt per replica per ``drain_cooldown_s``
   - a flapping replica cannot generate a drain storm;
-* **last-replica guard**: before draining, the router's ``/healthz``
-  is consulted and the drain is skipped (and logged) when it would
-  leave zero available replicas;
+* **last-replica guard**: before draining, the router's ``/v1/router``
+  topology is consulted and the drain is skipped (and logged) when it
+  would leave zero available replicas;
 * drains use ``timeout=0``: mark-and-return, never blocking the tick
   loop on the router waiting for in-flight requests; every router call
   is bounded by :data:`~.collector.REQUEST_TIMEOUT_S`.
@@ -177,14 +177,16 @@ class Watchtower:
         excluded whatever its state - a dead replica counts toward
         ``available`` on some routers' health views, and draining it
         must not be blocked by its own corpse.  ``None`` (topology
-        unreachable) lets the drain proceed: a breaching replica is
-        better gone even on partial knowledge."""
+        unreachable, or any answer but a 200) lets the drain proceed: a
+        breaching replica is better gone even on partial knowledge."""
         if self.router_url is None:
             return None
         try:
-            _, body = fetch(
+            status, body = fetch(
                 self.router_url, "GET", "/v1/router", REQUEST_TIMEOUT_S
             )
+            if status != 200:
+                return None
             doc = json.loads(body)
             count = 0
             for entry in doc.get("replicas", []):

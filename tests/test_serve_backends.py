@@ -8,6 +8,7 @@ without losing requests, and close() drains in-flight work and reaps
 every shard process.
 """
 
+import json
 import signal
 import time
 
@@ -18,6 +19,7 @@ from repro.cnn.datasets import N_CLASSES, generate_dataset
 from repro.cnn.inference import QuantizedModel
 from repro.cnn.micro import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.cnn.serialization import dumps_quantized_model, loads_quantized_model
+from repro.serve import backends
 from repro.serve import (
     BatchingPolicy,
     ModelRegistry,
@@ -367,6 +369,67 @@ class TestProcessBackend:
             assert metrics["backend"]["kind"] == "process"
         finally:
             server.shutdown()
+            svc.close()
+
+    def test_every_shard_loads_every_model_and_reloads_on_respawn(
+        self, setup, tmp_path, monkeypatch
+    ):
+        """Two models on two shards: each shard loads both - one of them
+        from a manifest that still carries the per-model shard
+        ``placement`` key older revisions wrote - and a respawned shard
+        reloads both, with seeded answers unchanged."""
+        qm, ds = setup
+        rng = make_rng(1)
+        other = QuantizedModel.from_trained(
+            Sequential(Flatten(), Linear(3 * 24 * 24, N_CLASSES, rng=rng)),
+            ds.images[:24],
+        )
+        registry = ModelRegistry(tmp_path)
+        registry.save("pinned", qm)
+        manifest = tmp_path / "pinned.json"
+        doc = json.loads(manifest.read_text())
+        doc["placement"] = [0]
+        manifest.write_text(json.dumps(doc))
+        loads = []
+        original = backends._Shard.send
+
+        def send(shard, msg):
+            if msg[0] == "load":
+                loads.append((shard.slot, msg[2]))
+            original(shard, msg)
+
+        monkeypatch.setattr(backends._Shard, "send", send)
+        svc = SconnaService(policy=POLICY, backend="process", n_shards=2)
+        try:
+            svc.add_from_registry(registry, "pinned")
+            svc.add_model("other", other)
+            assert sorted(loads) == [
+                (0, "other"), (0, "pinned"), (1, "other"), (1, "pinned"),
+            ]
+            names = ("pinned", "other")
+            expected = {
+                name: svc.predict(name, ds.images[2], seed=5, timeout=120.0)
+                for name in names
+            }
+            backend = svc.backend
+            loads.clear()
+            backend._shards[0].process.terminate()
+            deadline = time.monotonic() + 120.0
+            while time.monotonic() < deadline:
+                if backend.info()["alive"] == 2 and backend.restarts == 1:
+                    break
+                time.sleep(0.1)
+            assert backend.restarts == 1
+            assert sorted(loads) == [(0, "other"), (0, "pinned")]
+            for name in names:
+                futs = [
+                    svc.predict_async(name, ds.images[2], seed=5)
+                    for _ in range(4)
+                ]
+                for f in futs:
+                    got = f.result(120.0)
+                    assert np.array_equal(got.logits, expected[name].logits)
+        finally:
             svc.close()
 
     def test_backend_validation(self):

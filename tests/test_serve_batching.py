@@ -9,10 +9,10 @@ import pytest
 from repro.serve.batching import BatchingPolicy, InferenceRequest, MicroBatcher
 
 
-def make_request(rid: int, n_images: int = 1) -> InferenceRequest:
+def make_request(rid: int, n_images: int = 1, side: int = 4) -> InferenceRequest:
     return InferenceRequest(
         request_id=rid,
-        images=np.zeros((n_images, 3, 4, 4)),
+        images=np.zeros((n_images, 3, side, side)),
         error_model=None,
     )
 
@@ -115,6 +115,25 @@ class TestScheduling:
             # 3-image requests cannot pair under a 4-image cap
             assert all(len(b) == 1 for b in slow.batches)
             assert sorted(slow.dispatched_ids()) == [0, 1, 2]
+        finally:
+            batcher.close()
+
+    def test_shape_change_starts_a_new_batch(self):
+        """Requests of another image shape than the open batch's are
+        carried over, not coalesced: one batch per run of a shape, in
+        arrival order."""
+        collector = Collector()
+        policy = BatchingPolicy(max_batch_size=8, min_fill=8, max_wait_ms=100.0)
+        batcher = MicroBatcher(collector, policy)
+        try:
+            sides = (4, 4, 6, 6, 4)
+            futs = [
+                batcher.submit(make_request(i, side=side))
+                for i, side in enumerate(sides)
+            ]
+            for f in futs:
+                f.result(timeout=5.0)
+            assert collector.batches == [[0, 1], [2, 3], [4]]
         finally:
             batcher.close()
 

@@ -259,16 +259,9 @@ class TestRelayFraming:
 
 
 class TestConsistentRouting:
-    def test_lanes_are_stable_and_bounded(self, routed):
-        router, _ = routed
-        lanes = router.lanes_for("tiny")
-        assert len(lanes) == min(2, len(router.replicas))
-        for _ in range(5):
-            assert router.lanes_for("tiny") == lanes
-
     def test_rendezvous_ranking_is_per_model(self):
         urls = [f"http://127.0.0.1:{9000 + i}" for i in range(8)]
-        router = _make_router(urls, lanes_per_model=2)
+        router = _make_router(urls)
         try:
             orders = {
                 name: tuple(r.url for r in router.ranked(name))
@@ -304,7 +297,7 @@ class TestConsistentRouting:
         rendezvous order less the ejected replica: the surviving lane
         first, then the spill-over replicas."""
         urls = [f"http://127.0.0.1:{9200 + i}" for i in range(6)]
-        router = _make_router(urls, lanes_per_model=2)
+        router = _make_router(urls)
         try:
             ranked = router.ranked("tiny")
             ranked[0].record_failure("refused")   # eject_after=1
@@ -461,6 +454,27 @@ class TestDrain:
             assert not json.loads(resp.read())["replica"]["draining"]
         assert target.available
 
+    def test_zero_timeout_drain_marks_a_busy_replica_and_returns(
+        self, routed
+    ):
+        """``timeout=0`` is mark-and-return: a replica with a request
+        in flight is marked draining and the call answers 200 at once."""
+        router, front = routed
+        target = router.replicas[0]
+        with target._lock:
+            target.inflight += 1
+        try:
+            status, body = http11.fetch(
+                front.url, "POST",
+                f"/v1/router/drain?replica={target.url}&timeout=0", 5.0,
+            )
+            assert status == 200
+            state = json.loads(body)["replica"]
+            assert state["draining"] and state["inflight"] == 1
+        finally:
+            with target._lock:
+                target.inflight -= 1
+
     def test_drain_unknown_replica_is_404(self, routed):
         _, front = routed
         with SconnaClient(front.url) as client:
@@ -478,6 +492,27 @@ class TestDrain:
             resp = conn.getresponse()
             resp.read()
             assert resp.status == 400
+
+
+class TestTopology:
+    def test_router_document_waits_on_no_replica(self, hung_peer):
+        """``GET /v1/router`` is read in memory: a healthy, available
+        replica that accepts connections and never answers does not
+        hold it up, and is not even contacted."""
+        url, accepted = hung_peer
+        router = _make_router([url])
+        front, _ = serve_router(router)
+        try:
+            assert router.replicas[0].available
+            status, body = http11.fetch(front.url, "GET", "/v1/router", 1.0)
+            assert status == 200
+            doc = json.loads(body)
+            assert [r["url"] for r in doc["replicas"]] == [url]
+            assert doc["replicas"][0]["healthy"]
+            assert accepted == []
+        finally:
+            front.shutdown()
+            router.close()
 
 
 class TestFleetMetrics:
@@ -550,8 +585,6 @@ class TestFleetMetrics:
 class TestRouterUnit:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            RouterPolicy(lanes_per_model=0)
-        with pytest.raises(ValueError):
             RouterPolicy(max_retries=0)
         with pytest.raises(ValueError):
             RouterPolicy(eject_after=0)
@@ -590,7 +623,7 @@ class TestKillUnderLoad:
         registry = ModelRegistry(tmp_path / "models")
         registry.save("tiny", qm)
         processes, urls = spawn_replicas(
-            str(tmp_path / "models"), 2, _free_port(), wait_s=60.0,
+            str(tmp_path / "models"), 2, _free_port(),
         )
         router = _make_router(
             urls, background=True, health_interval_s=0.1, max_retries=3
@@ -618,8 +651,6 @@ class TestKillUnderLoad:
                 reference = client.predict(
                     ds.images[0], model="tiny", seed=11
                 ).logits
-            # consistent routing is visible in the topology before load
-            assert router.topology()["model_lanes"].get("tiny")
             # kill the replica the model's requests actually prefer, so
             # the redispatch path (not just the probe path) is exercised
             preferred = router.ranked("tiny")[0].url

@@ -10,6 +10,7 @@ import pytest
 from repro.cnn.datasets import N_CLASSES, generate_dataset
 from repro.cnn.inference import QuantizedModel
 from repro.cnn.micro import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
+from repro.cnn.train import build_proxy
 from repro.serve import (
     BatchingPolicy,
     ModelRegistry,
@@ -125,6 +126,25 @@ class TestPredict:
         assert ok.logits.shape == (1, N_CLASSES)
         with pytest.raises(ValueError, match="serving shape"):
             service.predict_async("tiny", np.zeros((3, 32, 32)))
+
+    def test_wrong_size_neighbour_fails_alone(self, setup):
+        """Before a lane knows its shape, a wrong-size request and a
+        right-size one that arrive together ride separate batches: the
+        right-size one is answered, the wrong-size one fails alone."""
+        _, ds = setup
+        qm = QuantizedModel.from_trained(build_proxy("snet_proxy"), ds.images[:24])
+        svc = SconnaService(
+            policy=BatchingPolicy(max_batch_size=8, max_wait_ms=50.0, min_fill=8)
+        )
+        svc.add_model("snet", qm)
+        try:
+            wrong = svc.predict_async("snet", np.zeros((3, 32, 32)), seed=1)
+            right = svc.predict_async("snet", ds.images[0], seed=2)
+            assert right.result(30.0).logits.shape == (1, N_CLASSES)
+            with pytest.raises(ValueError):
+                wrong.result(30.0)
+        finally:
+            svc.close()
 
     def test_close_then_predict_raises(self, setup):
         qm, ds = setup

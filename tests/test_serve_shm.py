@@ -1,4 +1,4 @@
-"""Shared-memory shard transport: ring edge cases, placement, cleanup.
+"""Shared-memory shard transport: ring edge cases, cleanup.
 
 The transport's contract, beyond the bit-equivalence locked in
 ``test_serve_backends.py``: ring allocation wraps and reclaims out of
@@ -20,11 +20,9 @@ from repro.cnn.inference import QuantizedModel
 from repro.cnn.micro import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.serve import (
     BatchingPolicy,
-    ModelRegistry,
     ProcessBackend,
     RingAllocator,
     SconnaService,
-    ShardPlacement,
     ShmArena,
 )
 from repro.serve import backends
@@ -165,41 +163,6 @@ class TestShmArena:
         arena.destroy()  # second unlink must not raise
 
 
-class TestShardPlacement:
-    def test_parse(self):
-        p = ShardPlacement.parse("a=0,1;b=2")
-        assert p.assignments == {"a": (0, 1), "b": (2,)}
-        assert p.shards_for("a", 4) == (0, 1)
-        assert p.shards_for("unplaced", 3) == (0, 1, 2)
-
-    def test_out_of_range_slot_rejected_at_resolution(self):
-        p = ShardPlacement({"a": [0, 5]})
-        with pytest.raises(ValueError, match="only 2 shard"):
-            p.shards_for("a", 2)
-
-    def test_bad_specs(self):
-        with pytest.raises(ValueError):
-            ShardPlacement.parse("a")
-        with pytest.raises(ValueError):
-            ShardPlacement.parse("a=x")
-        with pytest.raises(ValueError):
-            ShardPlacement({"a": []})
-        with pytest.raises(ValueError):
-            ShardPlacement({"a": [-1]})
-
-    def test_registry_manifest_round_trip(self, setup, tmp_path):
-        qm, _ = setup
-        registry = ModelRegistry(tmp_path)
-        registry.save("pinned", qm, placement=[1, 0, 1])
-        entry = registry.entry("pinned")
-        assert entry.placement == (0, 1)
-        assert entry.as_dict()["placement"] == [0, 1]
-        registry.save("anywhere", qm)
-        assert registry.entry("anywhere").placement is None
-        with pytest.raises(ValueError):
-            registry.save("bad", qm, placement=[])
-
-
 class TestShmTransport:
     def test_batch_larger_than_ring_falls_back_to_pipe(self, setup):
         """A ring smaller than one image cannot carry any batch: every
@@ -310,11 +273,10 @@ class TestShmTransport:
         still comes back: its slot respawns without rings, its batches
         ride the pipe, seeded logits are unchanged, and nothing leaks."""
         qm, ds = setup
-        backend = ProcessBackend(n_shards=2)
+        # one shard, so the requests below must use the respawned slot
+        backend = ProcessBackend(n_shards=1)
         svc = SconnaService(policy=POLICY, backend=backend)
-        # placed on shard 0 only, so the requests below must use the
-        # respawned slot
-        svc.add_model("tiny", qm, placement=[0])
+        svc.add_model("tiny", qm)
         try:
             expected = svc.predict("tiny", ds.images[2], seed=5, timeout=120.0)
 
@@ -325,12 +287,12 @@ class TestShmTransport:
             backend._shards[0].process.terminate()
             deadline = time.monotonic() + 60.0
             while time.monotonic() < deadline:
-                if backend.info()["alive"] == 2 and backend.restarts == 1:
+                if backend.info()["alive"] == 1 and backend.restarts == 1:
                     break
                 time.sleep(0.05)
             info = backend.info()
             assert backend.restarts == 1
-            assert info["alive"] == 2
+            assert info["alive"] == 1
             assert info["per_shard"][0]["ring_bytes_in_use"] is None
             assert any("without shared-memory rings" in str(w.message)
                        for w in recwarn.list)
@@ -377,80 +339,3 @@ class TestShmTransport:
     def test_transport_validation(self):
         with pytest.raises(ValueError, match="ring_bytes"):
             ProcessBackend(ring_bytes=0)
-
-
-class TestPlacementRouting:
-    def test_model_runs_only_on_placed_shards(self, setup):
-        qm, ds = setup
-        backend = ProcessBackend(n_shards=2)
-        svc = SconnaService(policy=POLICY, backend=backend)
-        svc.add_model("tiny", qm, placement=[1])
-        try:
-            futs = [
-                svc.predict_async("tiny", ds.images[i % 6], seed=i)
-                for i in range(8)
-            ]
-            for f in futs:
-                f.result(120.0)
-            info = backend.info()
-            assert info["placement"] == {"tiny": [1]}
-            assert info["per_shard"][0]["models"] == []
-            assert info["per_shard"][1]["models"] == ["tiny"]
-        finally:
-            svc.close()
-
-    def test_placement_out_of_range_fails_add(self, setup):
-        qm, _ = setup
-        backend = ProcessBackend(n_shards=2)
-        svc = SconnaService(policy=POLICY, backend=backend)
-        try:
-            with pytest.raises(ValueError, match="only 2 shard"):
-                svc.add_model("tiny", qm, placement=[3])
-        finally:
-            svc.close()
-
-    def test_placement_survives_via_registry(self, setup, tmp_path):
-        """A manifest-pinned model is served on its manifest slots."""
-        qm, ds = setup
-        registry = ModelRegistry(tmp_path)
-        registry.save("tiny", qm, placement=[0])
-        svc = SconnaService(policy=POLICY, backend="process", n_shards=2)
-        svc.add_from_registry(registry, "tiny")
-        try:
-            pred = svc.predict("tiny", ds.images[0], seed=0, timeout=120.0)
-            assert pred.logits.shape[1] == N_CLASSES
-            info = svc.backend.info()
-            assert info["placement"] == {"tiny": [0]}
-        finally:
-            svc.close()
-
-    def test_cli_placement_overrides_manifest(self, setup, tmp_path):
-        """``python -m repro.serve --placement`` wins over the slots a
-        model's manifest stores."""
-        import socket
-
-        from repro.serve import SconnaClient
-        from repro.serve.router import spawn_replicas
-
-        qm, ds = setup
-        ModelRegistry(tmp_path).save("tiny", qm, placement=[0])
-        with socket.socket() as sock:
-            sock.bind(("127.0.0.1", 0))
-            port = sock.getsockname()[1]
-        processes, (url,) = spawn_replicas(
-            str(tmp_path), 1, port,
-            extra_args=["--backend", "process", "--shards", "2",
-                        "--placement", "tiny=1"],
-            wait_s=60.0,
-        )
-        try:
-            with SconnaClient(url) as client:
-                placement = client.metrics()["backend"]["placement"]
-                pred = client.predict(ds.images[0], model="tiny", seed=0)
-        finally:
-            for proc in processes:
-                proc.terminate()
-            for proc in processes:
-                proc.wait(timeout=30.0)
-        assert placement == {"tiny": [1]}
-        assert pred.logits.shape == (1, N_CLASSES)

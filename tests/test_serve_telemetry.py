@@ -413,7 +413,6 @@ class TestServeCLI:
         processes, (url,) = spawn_replicas(
             str(tmp_path), 1, port,
             extra_args=["--trace-sample-rate", "1", "--trace-capacity", "3"],
-            wait_s=60.0,
         )
         try:
             with SconnaClient(url) as client:

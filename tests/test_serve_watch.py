@@ -49,6 +49,7 @@ from repro.serve import (
     serve_http,
     serve_router,
 )
+from repro.serve import http11
 from repro.serve.router import spawn_replicas
 from repro.serve.telemetry import (
     StructuredLogger,
@@ -67,6 +68,7 @@ from repro.serve.telemetry.watch import (
     serve_watch,
 )
 from repro.serve.telemetry.watch import collector as collector_module
+from repro.serve.telemetry.watch.engine import Alert
 from repro.utils.rng import make_rng
 
 
@@ -590,6 +592,59 @@ class TestLiveFleetScrape:
 
 
 # ---------------------------------------------------------------------------
+# drain remediation against a router
+# ---------------------------------------------------------------------------
+
+class _Boom(http11.RequestHandler):
+    """Answers every GET with a 500 carrying a JSON error body."""
+
+    def do_GET(self) -> None:  # noqa: N802 (handler API)
+        self.send_message(
+            500, [("Content-Type", "application/json")], b'{"error": "boom"}'
+        )
+
+
+def _down_alert(replica: str) -> Alert:
+    return Alert(rule="replica-down", kind="replica_down", severity="page",
+                 action="drain", labels={"replica": replica})
+
+
+class TestDrainRemediation:
+    def test_router_error_status_lets_the_drain_proceed(self):
+        """A non-200 ``/v1/router`` answer is an unknown topology
+        (``None``), not a fleet with no replica left."""
+        server = http11.HTTPServer(("127.0.0.1", 0), _Boom)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        tower = Watchtower([], router_url=server.url, auto_drain=True)
+        try:
+            assert tower._available_excluding("replica-0") is None
+        finally:
+            tower.close()
+            server.shutdown()
+            server.server_close()
+
+    def test_zero_timeout_drain_of_a_busy_replica_is_acted_on(self, fleet):
+        """The drain of a replica with a request in flight takes
+        effect at once, and the remediation record says so."""
+        _, router, front = fleet
+        target = router.replicas[0]
+        tower = Watchtower([], router_url=front.url, auto_drain=True)
+        with target._lock:
+            target.inflight += 1
+        try:
+            tower._maybe_drain(_down_alert(target.url), time.monotonic())
+            (record,) = tower.alerts_doc()["remediations"]
+            assert record["acted"] and record["status"] == 200
+            assert target.draining
+        finally:
+            with target._lock:
+                target.inflight -= 1
+            router.undrain(target.url)
+            tower.close()
+
+
+# ---------------------------------------------------------------------------
 # the acceptance gate: SIGKILL + auto-drain, zero visible failures
 # ---------------------------------------------------------------------------
 
@@ -606,7 +661,7 @@ class TestAutoDrainEndToEnd:
         registry = ModelRegistry(tmp_path / "models")
         registry.save("tiny", qm)
         processes, urls = spawn_replicas(
-            str(tmp_path / "models"), 2, _free_port(), wait_s=60.0,
+            str(tmp_path / "models"), 2, _free_port(),
         )
         router = Router(
             urls,
