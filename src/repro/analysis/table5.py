@@ -11,6 +11,15 @@ capacity trained on the synthetic 10-class dataset, then run through the
 noise seeds (the single-draw variance at a few-hundred-image test set
 would otherwise swamp sub-percent effects).
 
+A top-1 drop of a fraction of a point is one or two test images, and
+the floor rounding alone produces one, so the drop checks pass with the
+ADC noise switched off.  A continuous, logit-level metric sees the
+noise: the relative logit error against int8
+(:func:`relative_logit_error`), swept over ADC MAPE
+:data:`MAPE_SWEEP`, must rise with the MAPE and separate the paper's
+1.3 % from 5 % (SC-DCNN sweeps accuracy against its noise source for
+the same reason).
+
 Training is the expensive step, so results are memoised per
 configuration within the process.
 """
@@ -46,6 +55,16 @@ TRAIN_CFG = {
     "snet_proxy": {"epochs": 6, "lr": 0.05},
 }
 
+#: ADC MAPEs of the noise sweep; the paper's 1.3 % sets the top-1 drop
+MAPE_SWEEP = (0.0, 0.013, 0.05, 0.10)
+PAPER_MAPE = 0.013
+
+
+def relative_logit_error(logits: np.ndarray, reference: np.ndarray) -> float:
+    """Mean over images of ``||logits - reference|| / ||reference||``."""
+    diff = np.linalg.norm(logits - reference, axis=1)
+    return float(np.mean(diff / np.linalg.norm(reference, axis=1)))
+
 
 @dataclass(frozen=True)
 class ProxyAccuracy:
@@ -56,6 +75,9 @@ class ProxyAccuracy:
     top1_sconna: float
     top5_int8: float
     top5_sconna: float
+    #: relative logit error against int8 [%] at each of MAPE_SWEEP,
+    #: averaged over the noise seeds
+    logit_error_pct: "tuple[float, ...]"
 
     @property
     def top1_drop_pp(self) -> float:
@@ -102,14 +124,22 @@ def evaluate_proxies(
         top5_int8 = qmodel.top_k_from_logits(logits_int8, test_set.labels, 5)
 
         top1_s, top5_s = [], []
-        for seed in error_seeds:
-            logits = qmodel.predict_logits(
-                test_set.images,
-                mode="sconna",
-                error_model=SconnaErrorModel(seed=seed),
-            )
-            top1_s.append(qmodel.top_k_from_logits(logits, test_set.labels, 1))
-            top5_s.append(qmodel.top_k_from_logits(logits, test_set.labels, 5))
+        logit_error = []
+        for mape in MAPE_SWEEP:
+            errors = []
+            for seed in error_seeds:
+                logits = qmodel.predict_logits(
+                    test_set.images,
+                    mode="sconna",
+                    error_model=SconnaErrorModel(adc_mape=mape, seed=seed),
+                )
+                errors.append(relative_logit_error(logits, logits_int8))
+                if mape == PAPER_MAPE:
+                    top1_s.append(
+                        qmodel.top_k_from_logits(logits, test_set.labels, 1))
+                    top5_s.append(
+                        qmodel.top_k_from_logits(logits, test_set.labels, 5))
+            logit_error.append(100.0 * float(np.mean(errors)))
 
         results.append(
             ProxyAccuracy(
@@ -120,6 +150,7 @@ def evaluate_proxies(
                 top1_sconna=float(np.mean(top1_s)),
                 top5_int8=top5_int8,
                 top5_sconna=float(np.mean(top5_s)),
+                logit_error_pct=tuple(logit_error),
             )
         )
     _CACHE[key] = results
@@ -139,6 +170,8 @@ def run_table5(
             "SCONNA top-1",
             "drop [pp] (paper)",
             "top-5 drop [pp] (paper)",
+            "logit err [%] at MAPE " + " / ".join(
+                f"{m * 100:g}" for m in MAPE_SWEEP) + " %",
         ],
         title="Table V - SCONNA accuracy drop vs exact int-8 inference",
     )
@@ -152,6 +185,7 @@ def run_table5(
                 f"{r.top1_sconna * 100:.1f} %",
                 f"{r.top1_drop_pp:+.2f} ({p1})",
                 f"{r.top5_drop_pp:+.2f} ({p5})",
+                " / ".join(f"{e:.2f}" for e in r.logit_error_pct),
             ]
         )
     drops1 = [max(r.top1_drop_pp, 1e-3) for r in results]
@@ -167,10 +201,11 @@ def run_table5(
             "-",
             f"{g1:.2f} ({PAPER_TABLE5['gmean'][0]})",
             f"{g5:.2f} ({PAPER_TABLE5['gmean'][1]})",
+            "-",
         ]
     )
     table.add_row(
-        ["mean", "-", "-", "-", f"{m1:.2f}", f"{m5:.2f}"]
+        ["mean", "-", "-", "-", f"{m1:.2f}", f"{m5:.2f}", "-"]
     )
 
     trained_ok = all(r.top1_float > 0.9 for r in results)
@@ -181,6 +216,10 @@ def run_table5(
         ),
         "gmean top-1 drop within the paper's band (0-1.5 pp)": 0.0 <= g1 <= 1.5,
         "top-5 drops do not exceed top-1 drops (gmean)": g5 <= g1 + 0.05,
+        "logit error rises with ADC MAPE and separates 1.3 % from 5 % "
+        "(5 % excess >= 2x the 1.3 % excess over 0 %)": all(
+            _sees_noise(r.logit_error_pct) for r in results
+        ),
     }
     return ExperimentResult(
         experiment_id="E10",
@@ -191,6 +230,17 @@ def run_table5(
             f"SCONNA accuracy averaged over {len(error_seeds)} ADC noise "
             "seeds; proxies trained on the synthetic dataset "
             "(ImageNet substitution - DESIGN.md section 4)",
+            "logit err: mean over test images of ||l_sconna - l_int8|| / "
+            "||l_int8||, averaged over the same seeds; at 0 % only the "
+            "floor rounding differs from int8",
         ],
         data={"results": results},
     )
+
+
+def _sees_noise(errors: "tuple[float, ...]") -> bool:
+    """Strictly rising over MAPE_SWEEP, and the excess over the
+    noiseless value at 5 % at least twice the excess at 1.3 %."""
+    base, paper, five, _ = errors
+    rising = all(a < b for a, b in zip(errors, errors[1:]))
+    return rising and five - base >= 2.0 * (paper - base)

@@ -5,8 +5,8 @@ routing.  The simulator uses it for inter-layer activation
 redistribution: after a layer completes, its output tensor moves to the
 tiles holding the next layer's weights.
 
-Built on :mod:`networkx` for the topology; routing, bandwidth and
-energy are modelled explicitly:
+The topology is grid arithmetic; routing, bandwidth and energy are
+modelled explicitly:
 
 * per-hop latency = router traversal (2 cycles) + link/bus transfer
   (Table IV),
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.arch.peripherals import BUS, ROUTER, SYSTEM_CLOCK_HZ
 
@@ -43,7 +41,8 @@ class MeshNoc:
             raise ValueError(f"n_tiles={n_tiles} is not a perfect square")
         self.side = side
         self.n_tiles = n_tiles
-        self.graph = nx.grid_2d_graph(side, side)
+        #: router coordinates ``(x, y)``, row-major
+        self.nodes = [(x, y) for x in range(side) for y in range(side)]
 
     # -- routing ---------------------------------------------------------
     def xy_route(
@@ -51,7 +50,7 @@ class MeshNoc:
     ) -> "list[tuple[int, int]]":
         """Dimension-ordered route: X first, then Y."""
         for node in (src, dst):
-            if node not in self.graph:
+            if len(node) != 2 or not all(0 <= c < self.side for c in node):
                 raise ValueError(f"node {node} outside {self.side}x{self.side} mesh")
         path = [src]
         x, y = src
@@ -68,7 +67,7 @@ class MeshNoc:
 
     def average_hops(self) -> float:
         """Mean X-Y hop count over all (src, dst) pairs (uniform traffic)."""
-        nodes = list(self.graph.nodes)
+        nodes = self.nodes
         total = sum(self.hops(s, d) for s in nodes for d in nodes)
         return total / (len(nodes) ** 2)
 
@@ -79,7 +78,8 @@ class MeshNoc:
 
     @property
     def n_links(self) -> int:
-        return self.graph.number_of_edges()
+        """Bidirectional links between neighbouring routers."""
+        return 2 * self.side * (self.side - 1)
 
     def transfer(self, words: int) -> NocTransfer:
         """Uniform redistribution of ``words`` across the mesh.

@@ -11,9 +11,11 @@ vectorized engine.
 **Native floor sums.**  For ``B <= 8`` the sums come from one integer
 pass per psum group: the C kernels of :mod:`repro.utils.native` floor
 each product with a 16-bit multiply-high and write the sign-split
-counts as float64 straight into the buffer the ADC draw reads.  One
+counts as float64 straight into the buffer the ADC noise reads.  One
 rule, :meth:`SconnaEngine.remainder_kernel`, picks the kernel from the
-output-pixel count.
+output-pixel count.  After every kernel, one more native pass per group
+applies the counter-based ADC noise stream and folds the sign-split
+counts into the layer output.
 
 **The NumPy fallback: the floor-decomposition identity.**  Without the
 native library (or for ``B > 8``) the engine uses, for non-negative
@@ -45,8 +47,9 @@ buffers on top.
 
 The oracle is the seed per-channel loop, :func:`sconna_matmul_reference`.
 It draws the per-psum-group ADC noise over the same stacked
-``(B, 2L, P)`` ``[pos; neg]`` counts as the engine, so the two agree
-bit for bit under any seeded error model, not only the ideal one.
+``(B, 2L, P)`` ``[pos; neg]`` counts as the engine, at the same stream
+positions, so the two agree bit for bit under any seeded error model,
+not only the ideal one.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import SconnaConfig
+from repro.photonics.converters import AdcDraw
 from repro.stochastic.error_models import SconnaErrorModel
 from repro.utils import native
 
@@ -279,6 +283,8 @@ class SconnaEngine:
         cols: np.ndarray,
         error_model: SconnaErrorModel | None = None,
         *,
+        draw: "AdcDraw | None" = None,
+        layer: int = 0,
         out: "np.ndarray | None" = None,
         profile: "list | None" = None,
     ) -> np.ndarray:
@@ -291,8 +297,8 @@ class SconnaEngine:
         ``(B, L, P)`` signed counts, bit-exact with
         :func:`sconna_matmul_reference`.
 
-        ``out`` (optional) is a preallocated float64 ``(B, L, P)`` result
-        buffer.  ``profile`` (optional) collects
+        ``out`` (optional) is a preallocated C-contiguous float64
+        ``(B, L, P)`` result buffer.  ``profile`` (optional) collects
         ``(name, start_s, end_s, tags)`` timing tuples: one
         ``engine.matmul`` span per psum group tagged with the kernel
         ``kind``, an ``engine.remainder`` span on the NumPy path, and the
@@ -300,28 +306,31 @@ class SconnaEngine:
         arithmetic, so results stay bit-identical with profiling on or
         off.
 
-        The noise is drawn with ``error_model.apply_to_counts(counts,
-        out=...)`` into a pooled buffer, in place: the same generator
-        calls as the oracle's allocating form, so the same bits.
+        ``draw`` places the batch's images in their ADC noise streams
+        (a forward reserves it once for every layer; taken from
+        ``error_model`` here when omitted) and ``layer`` is this layer's
+        index in the model.  Each group's noise is one
+        ``error_model.apply_to_counts(counts, fold=out)`` call, which
+        folds the noisy counts into ``out`` at the oracle's stream
+        positions, so the oracle's bits.
         """
         b, q, p = cols.shape
         if q != plan.n_in:
             raise ValueError(f"cols Q={q} does not match plan Q={plan.n_in}")
         l = plan.n_out
-        apply_error = error_model is not None and not error_model.ideal()
+        if draw is None and error_model is not None and not error_model.ideal():
+            draw = error_model.draw(b)
 
         kind = self.remainder_kernel(plan, p)
         a = None if kind == "numpy" else self._kernel_operand(cols, kind)
         af = a_lo = rem = None  # the NumPy path's operands, on first use
         s = self.pool.get("s", (b, 2 * l, p), np.float64)
-        if apply_error:
-            noisy = self.pool.get("noise", (b, 2 * l, p), np.float64)
         if out is None:
             out = np.zeros((b, l, p), dtype=np.float64)
         else:
             out.fill(0.0)
         clock = time.monotonic
-        for sl in plan.group_slices:
+        for gi, sl in enumerate(plan.group_slices):
             t0 = clock() if profile is not None else 0.0
             if a is not None and native.floor_group_sums(
                 kind, a, plan.w_mulhi, sl.start, sl.stop, s
@@ -344,14 +353,16 @@ class SconnaEngine:
                                     {"kind": "numpy"}))
                 np.subtract(s, rem, out=s)
                 s *= 1.0 / (1 << plan.shift)  # exact: a multiple of 2**B
-            counts = s
-            if apply_error:
-                t0 = clock() if profile is not None else 0.0
-                counts = error_model.apply_to_counts(s, out=noisy)
-                if profile is not None:
-                    profile.append(("engine.noise", t0, clock(), {}))
-            out += counts[:, :l, :]
-            out -= counts[:, l:, :]
+            if draw is None:
+                out += s[:, :l, :]
+                out -= s[:, l:, :]
+                continue
+            t0 = clock() if profile is not None else 0.0
+            error_model.apply_to_counts(
+                s, draw=draw, layer=layer, group=gi, fold=out
+            )
+            if profile is not None:
+                profile.append(("engine.noise", t0, clock(), {}))
         return out
 
     def _kernel_operand(self, cols: np.ndarray, kind: str) -> np.ndarray:
@@ -422,6 +433,9 @@ def sconna_matmul_reference(
     precision_bits: int,
     group: int,
     error_model: SconnaErrorModel | None = None,
+    *,
+    draw: "AdcDraw | None" = None,
+    layer: int = 0,
 ) -> np.ndarray:
     """The seed per-output-channel implementation: the golden oracle.
 
@@ -431,18 +445,21 @@ def sconna_matmul_reference(
     (L, Q) signed weights.  Returns float (B, L, P) signed counts.
 
     The ADC noise is drawn once per psum group over the stacked
-    ``[pos; neg]`` ``(B, 2L, P)`` counts - :meth:`SconnaEngine.matmul`'s
-    draw order - so a seeded error model gives both the same bits.
+    ``[pos; neg]`` ``(B, 2L, P)`` counts at ``draw``'s stream positions
+    for ``layer`` (as in :meth:`SconnaEngine.matmul`), so a seeded error
+    model gives both the same bits.
     """
     b, q, p = cols.shape
     l, q_w = w_flat.shape
     if q != q_w:
         raise ValueError(f"cols Q={q} does not match weights Q={q_w}")
+    if draw is None and error_model is not None and not error_model.ideal():
+        draw = error_model.draw(b)
     shift = precision_bits
     w_mag = np.abs(w_flat)
     w_pos = w_flat > 0
     out = np.zeros((b, l, p), dtype=np.float64)
-    for start in range(0, q, group):
+    for gi, start in enumerate(range(0, q, group)):
         sl = slice(start, min(start + group, q))
         a_chunk = cols[:, sl, :]
         counts = np.empty((b, 2 * l, p), dtype=np.int64)  # [pos; neg]
@@ -451,7 +468,9 @@ def sconna_matmul_reference(
             mask = w_pos[li, sl][None, :, None]
             counts[:, li, :] = (prods * mask).sum(axis=1)
             counts[:, l + li, :] = (prods * ~mask).sum(axis=1)
-        if error_model is not None and not error_model.ideal():
-            counts = error_model.apply_to_counts(counts)
+        if draw is not None:
+            counts = error_model.apply_to_counts(
+                counts, draw=draw, layer=layer, group=gi
+            )
         out += counts[:, :l].astype(np.float64) - counts[:, l:].astype(np.float64)
     return out

@@ -32,8 +32,8 @@ slots are thread-local pooled buffers (:class:`~repro.cnn.engine._BufferPool`
 tags ``gp<slot>``), so a steady-state forward pass performs **no
 tensor-sized allocations**: integer grids, column buffers, and count
 buffers all live in the arena; the engine's own workspaces (the
-``s`` counts, the noise draw, and the NumPy path's operands) are pooled
-by the engine itself.
+``s`` counts and the NumPy path's operands) are pooled by the engine
+itself.
 
 **Kernel rule.**  A sconna stage gathers its im2col columns in the
 uint16 grid dtype, and its count kernel comes from the engine's shape
@@ -46,11 +46,11 @@ are recorded, not persisted, in the model's ``autotune`` dict so
 benchmarks and operators can see what runs.
 
 **Request-parallel execution.**  :meth:`NetworkPlan.try_execute` cuts
-a noisy per-request batch between requests into image-balanced chunks
-and runs them at once on helper threads, within the process-wide
-:data:`CORE_BUDGET`.  Each chunk runs the shape program of its own
-size, and no request's rows depend on another's, so the concatenated
-logits are the unsplit forward's bits.
+a noisy batch into image-balanced chunks and runs them at once on
+helper threads, within the process-wide :data:`CORE_BUDGET`.  Each
+chunk runs the shape program of its own size with its images' slice of
+the forward's ADC draw, and no image's rows depend on another's, so
+the concatenated logits are the unsplit forward's bits.
 
 The per-layer path in :class:`~repro.cnn.inference.QuantizedModel` is
 the oracle - quantize, im2col, exact integer contraction or
@@ -60,11 +60,9 @@ fused=False)`` forces it.
 
 from __future__ import annotations
 
-import bisect
 import os
 import threading
 import time
-from collections.abc import Sequence
 from concurrent import futures
 from dataclasses import dataclass, field
 
@@ -72,7 +70,6 @@ import numpy as np
 
 from repro.cnn.functional import conv_output_hw, im2col, max_pool2d
 from repro.cnn.micro import Flatten, MaxPool2d, ReLU
-from repro.stochastic.error_models import PerRequestErrorModels
 from repro.utils.cores import usable_cores
 
 
@@ -155,6 +152,7 @@ class _StageExec:
     """Everything one fused stage needs at run time."""
 
     kind: str                        #: "conv" or "linear"
+    index: int                       #: position in model.structure
     layer: "object"
     plan: "object | None"            #: engine plan (sconna; None for int8)
     w_f: "np.ndarray | None"         #: (L, Q) float64 weights (int8 path)
@@ -345,6 +343,7 @@ class _ShapeProgram:
             self.stages.append(
                 _StageExec(
                     kind=layer.kind,
+                    index=stage.index,
                     layer=layer,
                     plan=plan,
                     w_f=w_f,
@@ -436,6 +435,7 @@ class _ShapeProgram:
         self,
         x: np.ndarray,
         error_model: "object | None",
+        draw: "object | None",
         profile: "list | None" = None,
     ) -> np.ndarray:
         # ``profile`` (optional) collects ``(name, start_s, end_s, tags)``
@@ -500,8 +500,8 @@ class _ShapeProgram:
                 cols = src.reshape(*src.shape, 1)
             if self.mode == "sconna":
                 first = len(profile) if profile is not None else 0
-                eng.matmul(stage.plan, cols, error_model, out=counts,
-                           profile=profile)
+                eng.matmul(stage.plan, cols, error_model, draw=draw,
+                           layer=stage.index, out=counts, profile=profile)
                 if profile is not None:
                     for span in profile[first:]:
                         span[3]["stage"] = si
@@ -659,67 +659,59 @@ class NetworkPlan:
         images: np.ndarray,
         mode: str,
         error_model: "object | None" = None,
+        draw: "object | None" = None,
         profile: "list | None" = None,
     ) -> "np.ndarray | None":
         """Run fused, or return None so the caller takes the reference
         path.
 
-        A noisy :class:`PerRequestErrorModels` batch runs as
-        image-balanced chunks at once, cut only between requests: the
-        first chunk on the calling thread, the others on helper threads,
-        as many as :data:`CORE_BUDGET` spares.  Each request owns its
-        generator, so every chunk computes exactly the rows it would
-        compute unsplit and the concatenated logits are the same bits.
-        Every other batch runs whole: one noisy model's single RNG
-        stream spans the batch, and int8 or ideal-ADC batches are not
-        split until a benchmark measures that path on more than one
+        ``draw`` is the forward's ADC draw (``error_model.draw``), or
+        None when the batch draws no noise.  A batch with a draw runs as
+        image-balanced chunks at once, cut at any image: the first chunk
+        on the calling thread, the others on helper threads, as many as
+        :data:`CORE_BUDGET` spares.  Every draw is a pure function of
+        its image's stream position, so each chunk computes exactly the
+        rows it would compute unsplit and the concatenated logits are
+        the same bits.  int8 and ideal-ADC batches run whole: they are
+        not split until a benchmark measures that path on more than one
         core.  Helper chunks' ``profile`` spans carry a ``chunk`` tag.
         """
         x = np.asarray(images)
         if x.ndim < 2 or not self.supports(mode):
             return None
-        cuts = ()
-        if (
-            mode == "sconna"
-            and isinstance(error_model, PerRequestErrorModels)
-            and not error_model.ideal()
-        ):
-            cuts = error_model.cut_points(x.shape[0])
-        held = CORE_BUDGET.take(len(cuts) + 1)
+        held = CORE_BUDGET.take(x.shape[0] if draw is not None else 1)
         try:
-            if held > 1:
-                bounds = _chunk_bounds(x.shape[0], cuts, held)
-                CORE_BUDGET.give(held - len(bounds))  # cores no chunk uses
-                held = len(bounds)
             if held == 1:
                 prog = self.program_for(mode, x.shape)
                 if prog is None:
                     return None
-                return prog.run(x, error_model, profile)
-            return self._run_chunks(x, mode, error_model, bounds, profile)
+                return prog.run(x, error_model, draw, profile)
+            return self._run_chunks(x, mode, error_model, draw,
+                                    _chunk_bounds(x.shape[0], held), profile)
         finally:
             CORE_BUDGET.give(held)
 
-    def _run_chunks(self, x, mode, error_model, bounds, profile):
+    def _run_chunks(self, x, mode, error_model, draw, bounds, profile):
         """Run ``x[start:stop]`` for each of ``bounds`` at once, each
-        with its own requests' slice of ``error_model``, and concatenate
-        the logits."""
+        with its images' slice of ``draw``, and concatenate the
+        logits."""
         progs = [
             self.program_for(mode, (stop - start, *x.shape[1:]))
             for start, stop in bounds
         ]
         if progs[0] is None:  # support never depends on batch size
             return None
-        models = error_model.split(bounds)
         spans = [None if profile is None else [] for _ in bounds]
         helpers = [
-            CORE_BUDGET.submit(prog.run, x[start:stop], em, sub)
-            for prog, (start, stop), em, sub in zip(
-                progs[1:], bounds[1:], models[1:], spans[1:]
+            CORE_BUDGET.submit(prog.run, x[start:stop], error_model,
+                               draw[start:stop], sub)
+            for prog, (start, stop), sub in zip(
+                progs[1:], bounds[1:], spans[1:]
             )
         ]
         try:
-            parts = [progs[0].run(x[: bounds[0][1]], models[0], profile)]
+            stop = bounds[0][1]
+            parts = [progs[0].run(x[:stop], error_model, draw[:stop], profile)]
         finally:
             futures.wait(helpers)
         parts.extend(f.result() for f in helpers)
@@ -732,21 +724,10 @@ class NetworkPlan:
         return np.concatenate(parts)
 
 
-def _chunk_bounds(
-    n_images: int, cuts: "Sequence[int]", n: int
-) -> "list[tuple[int, int]]":
-    """Up to ``n`` ``[start, stop)`` image ranges of about
-    ``n_images / n`` images each, cut only at the sorted ``cuts``."""
-    edges = [0]
-    for k in range(1, n):
-        target = k * n_images / n
-        lo = bisect.bisect_right(cuts, edges[-1])
-        hi = bisect.bisect_left(cuts, target, lo)
-        near = [cuts[i] for i in (hi - 1, hi) if lo <= i < len(cuts)]
-        if not near:
-            break
-        edges.append(min(near, key=lambda c: abs(c - target)))
-    edges.append(n_images)
+def _chunk_bounds(n_images: int, n: int) -> "list[tuple[int, int]]":
+    """``n`` consecutive ``[start, stop)`` image ranges of
+    ``n_images // n`` or one more images each (``1 <= n <= n_images``)."""
+    edges = [k * n_images // n for k in range(n + 1)]
     return list(zip(edges, edges[1:]))
 
 

@@ -49,6 +49,7 @@ from repro.cnn.quantize import (
     quantize,
 )
 from repro.core.config import SconnaConfig
+from repro.photonics.converters import AdcDraw
 from repro.stochastic.error_models import SconnaErrorModel
 
 Mode = str  # "float" | "int8" | "sconna"
@@ -210,14 +211,22 @@ class QuantizedModel:
         tags)`` per-stage timing tuples (quantize / im2col / matmul /
         requantize on the fused path, coarse per-layer timings on the
         reference path) without perturbing the arithmetic.
+
+        A noisy sconna forward reserves the batch's images in the error
+        model's ADC noise streams once, before either path runs, so a
+        model reused across forwards never repeats a draw.
         """
         if mode not in ("float", "int8", "sconna"):
             raise ValueError(f"unknown mode {mode!r}")
-        if mode == "sconna" and error_model is None:
-            error_model = SconnaErrorModel(seed=0)
+        draw = None
+        if mode == "sconna":
+            if error_model is None:
+                error_model = SconnaErrorModel(seed=0)
+            if not error_model.ideal():
+                draw = error_model.draw(len(images))
         if fused is not False and mode in ("int8", "sconna"):
             out = self.network_plan.try_execute(
-                images, mode, error_model, profile=profile
+                images, mode, error_model, draw, profile=profile
             )
             if out is not None:
                 return out
@@ -234,7 +243,7 @@ class QuantizedModel:
         for i, item in enumerate(self.structure):
             t0 = time.monotonic() if profile is not None else 0.0
             if isinstance(item, QuantLayer):
-                x = self._run_quant_layer(item, x, mode, error_model)
+                x = self._run_quant_layer(item, x, mode, error_model, draw, i)
             elif isinstance(item, MaxPool2d):
                 x = max_pool2d(x, item.kernel, item.stride)
             elif isinstance(item, ReLU):
@@ -255,6 +264,8 @@ class QuantizedModel:
         x: np.ndarray,
         mode: Mode,
         error_model: SconnaErrorModel | None,
+        draw: "AdcDraw | None" = None,
+        index: int = 0,
     ) -> np.ndarray:
         if mode == "float":
             # stateless equivalents of the trainable forwards (bit-equal:
@@ -290,6 +301,7 @@ class QuantizedModel:
             counts = sconna_matmul_reference(
                 cols, w_flat, self.precision_bits,
                 psum_group_size(self.config), error_model,
+                draw=draw, layer=index,
             )
             out = counts * (scale * (1 << self.precision_bits))
         if layer.bias is not None:

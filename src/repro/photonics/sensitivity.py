@@ -10,15 +10,13 @@ Table I).
 
 The defining equation is implicit because the noise density ``beta``
 (Eq. 3) itself depends on the optical power through the shot and RIN
-terms, so we solve it with a bracketed bisection (``scipy.optimize``
-``brentq``) on the monotone function ``B_Res(P) - target``.
+terms, so we solve it by bisection on the monotone function
+``B_Res(P) - target`` inside a bracket.
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy.optimize import brentq
 
 from repro.photonics.photodetector import PhotodetectorParams, bit_resolution
 from repro.utils.units import watts_to_dbm
@@ -73,7 +71,16 @@ def solve_sensitivity_dbm(
             f"DR={data_rate_hz:.3g} Hz (RIN/thermal limited); "
             f"max achievable is {target_bit_resolution + hi:.2f} bits"
         )
-    return float(brentq(deficit, p_min_dbm, p_max_dbm, xtol=1e-6))
+    # bisection: the deficit rises with power, and the bracket shrinks
+    # to within 1e-6 dB of the root
+    a, b = p_min_dbm, p_max_dbm
+    while b - a > 1e-6:
+        mid = 0.5 * (a + b)
+        if deficit(mid) < 0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 def max_resolution_bits(

@@ -32,13 +32,14 @@ Two implementations:
 Both backends execute a batch through one function,
 :func:`execute_batch`, and warm a model through :func:`warm_up`.
 
-**Determinism across backends.**  A request's ADC noise lives in its
-:class:`~repro.stochastic.error_models.SconnaErrorModel`, whose RNG
-state pickles exactly.  The shard applies the *same generator state* to
-the *same contiguous batch slice* the thread path would, so a seeded
-request's logits are bit-identical through either backend - and even a
+**Determinism across backends.**  A request's ADC noise is a pure
+function of its :class:`~repro.stochastic.error_models.SconnaErrorModel`'s
+64-bit stream key and each count's position, and the key pickles with
+the model.  The shard draws the *same stream* over the *same
+contiguous batch slice* the thread path would, so a seeded request's
+logits are bit-identical through either backend - and even a
 ``seed=None`` request is reproducible across a crash-redispatch,
-because the parent re-sends the same pickled generator state.
+because the parent re-sends the same key.
 
 **Metrics.**  Backends record none: every batch ends in exactly one
 ``on_done`` call in the parent, where the service counts it - once,
@@ -324,7 +325,7 @@ class _Inflight:
     dispatched_at: float
     #: telemetry Traces of the batch's sampled requests (retained across
     #: a crash-redispatch, like the payload) and the picklable span
-    #: context the shard receives on the pipe alongside the RNG state
+    #: context the shard receives on the pipe alongside the error models
     traces: "list[object]" = field(default_factory=list)
     tctx: "dict | None" = None
 
@@ -402,7 +403,7 @@ def _shard_main(conn, shard_id: int, shm_spec=None, cores: int = 1) -> None:
 
     def run_batch(bid, name, images, emodels, sizes, tctx) -> tuple:
         # ``tctx`` is the parent's span context (piggybacked on the
-        # batch message like the RNG state): when present, execution is
+        # batch message like the error models): when present, execution is
         # timed with time.monotonic() - system-wide on Linux, so these
         # readings are directly comparable to the parent's clock - and
         # the spans ride back with the logits for the parent to graft
@@ -493,12 +494,13 @@ class ProcessBackend(ExecutionBackend):
     thread sees pipe EOF, the backend reaps the process, respawns the
     slot (replaying every model load), and redispatches the dead shard's
     in-flight batches - at-least-once execution whose results are
-    identical because each batch carries its own pickled RNG state.
+    identical because each batch carries its requests' stream keys.
 
     **Rings.**  Batch tensors move through one
     ``multiprocessing.shared_memory`` ring arena of ``ring_bytes`` per
     shard; only a small descriptor (offset, shape, dtype) plus the
-    request ids and pickled RNG state cross the pipe.  The logits, a few
+    request ids and the requests' error models (stream key, image
+    index and sigma) cross the pipe.  The logits, a few
     bytes per image against kilobytes of pixels, come back inside the
     shard's ``ok`` reply.  The parent owns every ring: it allocates a
     region per batch (freed when that batch's reply arrives - the

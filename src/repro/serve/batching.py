@@ -20,8 +20,8 @@ batch opened, then flushes whatever it has.
 Coalescing rules:
 
 * requests are never split - a request carrying more images than
-  ``max_batch_size`` is dispatched as its own oversized batch (this
-  keeps each request's RNG stream contiguous, see
+  ``max_batch_size`` is dispatched as its own oversized batch (one
+  request, one future: see
   :class:`repro.stochastic.error_models.PerRequestErrorModels`);
 * a gathered request that would overflow the open batch, or whose
   image shape differs from the batch's first request, is carried over

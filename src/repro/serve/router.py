@@ -237,17 +237,6 @@ class Replica:
                 f"{self.url}: {type(exc).__name__}: {exc}"
             ) from exc
 
-    def get(self, path: str) -> "tuple[int, bytes]":
-        """GET ``path`` on a pooled connection: ``(status, body)``."""
-        conn, resp = self.request("GET", path)
-        try:
-            body = resp.read()
-        except OSError:
-            conn.close()
-            raise
-        self.release(conn)
-        return resp.status, body
-
     # -- health accounting -----------------------------------------------
     def record_success(self) -> "bool":
         """One good probe/forward; returns True on an ejected->healthy
@@ -562,16 +551,19 @@ class Router:
 
     # -- the SconnaService-shaped surface --------------------------------
     def models(self) -> "list[str]":
-        """Union of every live replica's served models."""
+        """Union of every live replica's served models.  Each replica is
+        asked on a connection of its own, bounded by
+        ``http11.CONNECT_TIMEOUT_S``, so a hung one costs one timeout."""
         names: "set[str]" = set()
         for replica in self.replicas:
             if not replica.available:
                 continue
             try:
-                status, payload = replica.get("/v1/models")
+                status, payload = fetch(replica.url, "GET", "/v1/models",
+                                        http11.CONNECT_TIMEOUT_S)
                 if status == 200:
                     names.update(json.loads(payload).get("models", ()))
-            except (ReplicaError, ValueError, OSError):
+            except (ValueError, OSError):
                 continue
         return sorted(names)
 
@@ -582,9 +574,11 @@ class Router:
         :meth:`ServeMetrics.merge`; the result reads exactly like a
         single server's snapshot, with ``fleet`` (per-replica
         topology) and ``router`` (forward/retry/shed counters)
-        sections on top.  One upstream request per healthy replica: its
-        state document also lists its models, whose union over the
-        available replicas is what :meth:`models` would return.
+        sections on top.  One upstream request per healthy replica, on
+        a connection of its own bounded by ``http11.CONNECT_TIMEOUT_S``
+        (a hung replica's entry carries ``metrics_error``): its state
+        document also lists its models, whose union over the available
+        replicas is what :meth:`models` would return.
         """
         agg = ServeMetrics()
         per_replica: "list[dict]" = []
@@ -593,7 +587,10 @@ class Router:
             entry = replica.state()
             if replica.healthy:
                 try:
-                    status, payload = replica.get("/v1/metrics?format=state")
+                    status, payload = fetch(
+                        replica.url, "GET", "/v1/metrics?format=state",
+                        http11.CONNECT_TIMEOUT_S,
+                    )
                     if status == 200:
                         doc = json.loads(payload)
                         if replica.available:
@@ -603,7 +600,7 @@ class Router:
                         entry["backend"] = (doc.get("backend") or {}).get("kind")
                         entry["shards"] = (doc.get("backend") or {}).get("shards")
                         entry["requests"] = doc["metrics"].get("n_requests")
-                except (ReplicaError, ValueError, KeyError, OSError) as exc:
+                except (ValueError, KeyError, OSError) as exc:
                     entry["metrics_error"] = str(exc)
             per_replica.append(entry)
         snap = agg.snapshot()

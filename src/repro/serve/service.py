@@ -26,10 +26,11 @@ applied to its slice of the batch through
 :class:`~repro.stochastic.error_models.PerRequestErrorModels` - so its
 logits are bit-identical no matter which other requests shared the
 batch, *and* no matter which backend (or shard process) executed it:
-the error model's RNG state pickles exactly, so the shard consumes the
-same noise stream the in-process path would.  ``ideal=True`` requests
-the noiseless datapath; ``seed=None`` (the default) draws fresh ADC
-noise per request.
+its ADC noise is a pure function of the model's 64-bit stream key and
+each count's position, and the key pickles with the model, so a shard
+draws the noise the in-process path would.  ``ideal=True`` requests
+the noiseless datapath; ``seed=None`` (the default) draws a fresh
+random key per request.
 """
 
 from __future__ import annotations
@@ -281,13 +282,12 @@ class SconnaService:
                 self.tracer.finish(trace, status=type(exc).__name__)
             raise
         try:
-            error_model = None
-            if entry.mode == "sconna":
-                error_model = (
-                    SconnaErrorModel(adc_mape=0.0)
-                    if ideal
-                    else SconnaErrorModel(seed=seed)
-                )
+            # an ideal request's None runs the noiseless datapath
+            error_model = (
+                SconnaErrorModel(seed=seed)
+                if entry.mode == "sconna" and not ideal
+                else None
+            )
             request = InferenceRequest(
                 request_id=next(self._ids),
                 images=images,

@@ -7,8 +7,8 @@ entire measured overhead of ``ProcessBackend`` (0.82x of
 thread-dynamic, see ``BENCH_serve.json``).  This module moves the batch
 tensors into one ``multiprocessing.shared_memory`` ring per shard so
 only small *descriptors* (offset, shape, dtype - plus the request ids
-and pickled RNG state that must travel anyway) cross the pipe; the
-logits return in the shard's reply on the pipe:
+and error models, each a stream key, that must travel anyway) cross
+the pipe; the logits return in the shard's reply on the pipe:
 
 * :class:`RingAllocator` - a next-fit circular allocator over a byte
   arena.  Regions are reclaimed out of completion order (batches finish

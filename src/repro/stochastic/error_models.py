@@ -18,12 +18,18 @@ inference engine can apply per layer.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.photonics.converters import AdcErrorModel
+from repro.photonics.converters import (
+    AdcDraw,
+    AdcErrorModel,
+    adc_noise,
+    noise_block,
+    noise_table,
+)
+from repro.utils import native
 from repro.utils.rng import make_rng
 
 
@@ -42,7 +48,7 @@ class SconnaErrorModel:
         Requires per-VDP slot statistics, so it is applied as an expected
         offset proportional to the operand activity passed in.
     seed:
-        Seed for the ADC noise draw.
+        Seed of the ADC noise stream (``None``: a fresh random stream).
     """
 
     adc_mape: float = 0.013
@@ -55,20 +61,27 @@ class SconnaErrorModel:
             raise ValueError("skirt_leakage must be in [0, 1)")
         self._adc = AdcErrorModel(mape=self.adc_mape, seed=self.seed)
 
+    def draw(self, n_images: int) -> AdcDraw:
+        """Reserve the next ``n_images`` images of this model's stream."""
+        return AdcDraw.reserve([(self._adc, n_images)])
+
     def apply_to_counts(
         self,
         counts: np.ndarray,
         skirt_slots: np.ndarray | None = None,
         *,
-        out: "np.ndarray | None" = None,
+        draw: "AdcDraw | None" = None,
+        layer: int = 0,
+        group: int = 0,
+        fold: "np.ndarray | None" = None,
     ) -> np.ndarray:
         """Perturb ideal PCA counts.
 
         ``skirt_slots`` (same shape as ``counts``) gives, per VDP, the
         number of single-operand-'1' slots whose leakage charge lands on
-        the PCA; omitted when ``skirt_leakage == 0``.  ``out`` selects
-        the in-place float64 form of :meth:`AdcErrorModel.apply` (same
-        bits as the int64 result).
+        the PCA; omitted when ``skirt_leakage == 0``.  Without ``draw``
+        this is a standalone draw (:meth:`AdcErrorModel.apply`, int64);
+        with one, see :meth:`PerRequestErrorModels.apply_to_counts`.
         """
         vals = np.asarray(counts, dtype=float)
         if self.skirt_leakage > 0.0:
@@ -77,10 +90,28 @@ class SconnaErrorModel:
                     "skirt_slots required when skirt_leakage is enabled"
                 )
             vals = vals + self.skirt_leakage * np.asarray(skirt_slots, dtype=float)
-        return self._adc.apply(vals, out=out)
+        if draw is None:
+            return self._adc.apply(vals)
+        return _apply_draw(vals, draw, layer, group, fold)
 
     def ideal(self) -> bool:
         return self.adc_mape == 0.0 and self.skirt_leakage == 0.0
+
+
+def _apply_draw(vals, draw, layer, group, fold):
+    """The stream of one layer's psum group over ``vals``; with ``fold``
+    (``(B, L, P)``) the sign-split noisy counts fold into it natively
+    when the library is loaded."""
+    block = noise_block(layer, group)
+    if fold is None:
+        return adc_noise(vals, draw, block)
+    if not native.adc_noise_fold(
+        vals, draw.keys, draw.images, draw.sigma, noise_table(), block, fold
+    ):
+        noisy = adc_noise(vals, draw, block)
+        fold += noisy[:, : fold.shape[1]]
+        fold -= noisy[:, fold.shape[1]:]
+    return fold
 
 
 class PerRequestErrorModels:
@@ -91,14 +122,14 @@ class PerRequestErrorModels:
     would see served alone - otherwise results depend on which other
     requests happened to share the batch.  This wrapper carries one
     :class:`SconnaErrorModel` (or ``None`` for the ideal datapath) per
-    request, plus the number of images each request contributed, and
-    applies each model to its own contiguous slice of the batch axis.
+    request, plus the number of images each request contributed.
 
-    Because the engine consumes noise in a fixed per-layer, per-psum-
-    group order with shapes ``(n_i, 2L, P)`` that depend only on the
-    request's own image count ``n_i``, every request's RNG stream is
-    identical across batch compositions: a seeded request returns
-    bit-identical logits whether it runs solo or packed with strangers.
+    A forward reserves the batch's images once (:meth:`draw`): each
+    request's images take the next indices of its own model's stream,
+    and every draw is a pure function of that stream's key and the
+    count's position.  So a seeded request returns bit-identical logits
+    whether it runs solo or packed with strangers, and the batch can be
+    cut at any image.
     """
 
     def __init__(
@@ -120,84 +151,52 @@ class PerRequestErrorModels:
     def ideal(self) -> bool:
         return all(m is None or m.ideal() for m in self.models)
 
-    def _check_batch(self, n_images: int) -> None:
+    def draw(self, n_images: int) -> AdcDraw:
+        """Reserve each request's images in its model's stream.  Raises
+        ``ValueError`` when the batch does not hold exactly these
+        requests' ``n_images`` images."""
         if n_images != self.n_images:
             raise ValueError(
                 f"batch axis {n_images} does not match the "
                 f"{self.n_images} images of the registered requests"
             )
+        return AdcDraw.reserve(
+            (None if m is None else m._adc, n)
+            for m, n in zip(self.models, self.sizes)
+        )
 
     def apply_to_counts(
         self,
         counts: np.ndarray,
         skirt_slots: np.ndarray | None = None,
         *,
-        out: "np.ndarray | None" = None,
+        draw: "AdcDraw | None" = None,
+        layer: int = 0,
+        group: int = 0,
+        fold: "np.ndarray | None" = None,
     ) -> np.ndarray:
-        """Apply each request's model to its own slice of the batch axis.
+        """Apply each request's stream to its own images (axis 0).
 
-        Returns float64 counts.  Without ``out`` each noisy request
-        takes the allocating int64 form; with ``out`` (C-contiguous
-        float64, ``counts``' shape, not overlapping it) every slice is
-        perturbed in place there - same generator calls, same bits.
+        ``draw`` is the forward's reservation (:meth:`draw`; taken here
+        when omitted) and ``layer``/``group`` place the counts in each
+        stream.  Returns float64 noisy counts; with ``fold``, a
+        ``(B, L, P)`` array, the ``(B, 2L, P)`` ``[pos; neg]`` noisy
+        counts are added to it as ``fold += noisy[:, :L] - noisy[:, L:]``
+        (one native pass when the library is loaded) and ``fold`` is
+        returned.
         """
         vals = np.asarray(counts, dtype=float)
-        self._check_batch(vals.shape[0])
-        fresh = out is None
-        if fresh:
-            out = np.empty_like(vals)
-        start = 0
-        for model, size in zip(self.models, self.sizes):
-            sl = slice(start, start + size)
-            if model is None or model.ideal():
-                # counts are exact integers; rint mirrors the noisy
-                # branch's integer quantization without perturbing them
-                np.rint(vals[sl], out=out[sl])
-            else:
-                noisy = model.apply_to_counts(
-                    vals[sl],
-                    None if skirt_slots is None else skirt_slots[sl],
-                    out=None if fresh else out[sl],
+        leak = [0.0 if m is None else m.skirt_leakage for m in self.models]
+        if any(leak):
+            if skirt_slots is None:
+                raise ValueError(
+                    "skirt_slots required when skirt_leakage is enabled"
                 )
-                if fresh:
-                    out[sl] = noisy
-            start += size
-        return out
-
-    def cut_points(self, n_images: int) -> "list[int]":
-        """Image offsets where a batch of these requests can be cut into
-        pieces computed independently: every request boundary, since a
-        request's noise depends only on its own generator and image
-        count.  None at all when two noisy requests share one generator,
-        whose draws would then depend on the order the pieces ran in.
-        Raises ``ValueError`` when the batch does not hold exactly these
-        requests' ``n_images`` images.
-        """
-        self._check_batch(n_images)
-        gens = [
-            id(m._adc._rng)
-            for m in self.models
-            if m is not None and not m.ideal()
-        ]
-        if len(set(gens)) < len(gens):
-            return []
-        return list(itertools.accumulate(self.sizes[:-1]))
-
-    def split(
-        self, bounds: "list[tuple[int, int]]"
-    ) -> "list[PerRequestErrorModels]":
-        """The composites of the ``[start, stop)`` image ranges
-        ``bounds``, each cut at :meth:`cut_points`."""
-        first = {
-            s: i
-            for i, s in enumerate(itertools.accumulate(self.sizes, initial=0))
-        }
-        return [
-            PerRequestErrorModels(
-                self.models[first[a]:first[b]], self.sizes[first[a]:first[b]]
-            )
-            for a, b in bounds
-        ]
+            per_image = np.repeat(leak, self.sizes)
+            vals = vals + per_image.reshape(-1, *[1] * (vals.ndim - 1)) * skirt_slots
+        if draw is None:
+            draw = self.draw(len(vals))
+        return _apply_draw(vals, draw, layer, group, fold)
 
 
 @dataclass
@@ -225,11 +224,10 @@ def measure_vdp_error(
 
     Fully batched: all trial operands are drawn in one shot, the SC
     counts come from :func:`repro.stochastic.arithmetic.sc_vdp_batch`,
-    and the ADC error is applied in a single vectorized draw over the
-    ``(n_trials, 2)`` count pairs.  (The batched draws consume the RNG in
-    a different order than the seed's per-trial loop, so individual trial
-    values differ run-to-run across engine versions while the statistics
-    are unchanged.)
+    and the ADC error is one standalone draw over the ``(n_trials, 2)``
+    count pairs: each trial takes the next image of ``model``'s stream.
+    (Trial values differ from the seed's per-trial loop, which drew
+    operands and noise from one generator; the statistics do not.)
     """
     from repro.stochastic.arithmetic import sc_vdp_batch  # local: avoid cycle
 

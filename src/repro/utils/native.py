@@ -16,6 +16,13 @@ turn the widening multiply's high half into one vector instruction
 pixels in the engine's ``(B, Q, P)`` layout; ``floor_sums_rows`` runs
 along the contraction in the ``(B, P, Q)`` layout, for P < 8.
 
+A third loop, ``adc_noise_fold``, applies the ADC noise stream of
+:func:`repro.photonics.converters.adc_noise` to a group's counts and
+folds the sign-split result into the layer output in the same pass.
+It repeats the NumPy transcription's arithmetic operation for
+operation, so the library is built with ``-ffp-contract=off``: a fused
+multiply-add would round once where NumPy rounds twice.
+
 This module compiles the loops **at runtime** with the system C
 compiler (``cc``), caches the shared object in the platform temp
 directory keyed by a hash of the source, and loads it through
@@ -39,6 +46,7 @@ import tempfile
 import numpy as np
 
 _SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 #include <stddef.h>
 
@@ -156,6 +164,49 @@ void floor_sums_cols(const uint16_t *restrict a, long a_b_stride,
         }
     }
 }
+
+/* SplitMix64: the finalizer of k + c * gamma. */
+static inline uint64_t mix(uint64_t k, uint64_t c) {
+    uint64_t z = k + c * 0x9E3779B97F4A7C15ull;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+}
+
+/* 1 + sigma * z, z read from the 2^16 + 1 node table at the hash's top
+   16 bits and interpolated on the next 16. */
+static inline double gain(const double *restrict t, double sigma, uint64_t u) {
+    const uint64_t i = u >> 48;
+    const double f = (double)((u >> 32) & 0xFFFF) * (1.0 / 65536.0);
+    return 1.0 + sigma * (t[i] + (t[i + 1] - t[i]) * f);
+}
+
+/* s is (bn, 2l, p) [pos; neg] counts, out (bn, l, p).  Image b draws
+   from key h(h(keys[b], images[b]), block), count c of its 2l * p from
+   h(key, c): out += rint(pos * gain) - rint(neg * gain).  An image with
+   sigma 0 folds rint(pos) - rint(neg). */
+void adc_noise_fold(const double *restrict s, double *restrict out,
+                    const uint64_t *keys, const uint64_t *images,
+                    const double *sigma, const double *restrict t,
+                    uint64_t block, long bn, long l, long p) {
+    const long n = l * p;
+    for (long b = 0; b < bn; b++) {
+        const double *sp = s + (size_t)b * 2 * n, *sn = sp + n;
+        double *o = out + (size_t)b * n;
+        const double sg = sigma[b];
+        if (sg == 0.0) {
+            for (long i = 0; i < n; i++)
+                o[i] = o[i] + rint(sp[i]) - rint(sn[i]);
+            continue;
+        }
+        const uint64_t k = mix(mix(keys[b], images[b]), block);
+        for (long i = 0; i < n; i++) {
+            const double gp = gain(t, sg, mix(k, (uint64_t)i));
+            const double gn = gain(t, sg, mix(k, (uint64_t)(n + i)));
+            o[i] = o[i] + rint(sp[i] * gp) - rint(sn[i] * gn);
+        }
+    }
+}
 """
 
 #: sentinel distinguishing "never tried" from "tried and failed"
@@ -183,9 +234,19 @@ def _cache_dir() -> "str | None":
     return path
 
 
+def _compile_commands(src: str, so: str) -> "list[list[str]]":
+    """The build commands to try in turn: tuned to this CPU, then
+    portable.  Both keep floating-point contraction off, so the noise
+    pass rounds exactly where NumPy does."""
+    base = ["cc", "-O3", "-ffp-contract=off", "-funroll-loops", "-shared",
+            "-fPIC", src, "-o", so, "-lm"]
+    return [base[:2] + ["-march=native"] + base[2:], base]
+
+
 def _compile() -> "ctypes.CDLL | None":
     """Build (or reuse) the cached shared object; None on any failure."""
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
+    recipe = _SOURCE + repr(_compile_commands("", ""))
+    digest = hashlib.sha256(recipe.encode()).hexdigest()[:16]
     cache_root = _cache_dir()
     if cache_root is None:
         return None
@@ -197,11 +258,7 @@ def _compile() -> "ctypes.CDLL | None":
             tmp_so = os.path.join(workdir, "floor.so")
             with open(src, "w") as fh:
                 fh.write(_SOURCE)
-            base = [
-                "cc", "-O3", "-funroll-loops", "-shared", "-fPIC", src, "-o", tmp_so
-            ]
-            for flags in (["-march=native"], []):  # retry portably if -march fails
-                cmd = base[:2] + flags + base[2:]
+            for cmd in _compile_commands(src, tmp_so):
                 try:
                     res = subprocess.run(
                         cmd, capture_output=True, timeout=120, check=False
@@ -227,6 +284,10 @@ def _compile() -> "ctypes.CDLL | None":
             ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
         ]
         kernel.restype = None
+    lib.adc_noise_fold.argtypes = [ctypes.c_void_p] * 6 + [
+        ctypes.c_uint64, ctypes.c_long, ctypes.c_long, ctypes.c_long,
+    ]
+    lib.adc_noise_fold.restype = None
     return lib
 
 
@@ -297,4 +358,48 @@ def floor_group_sums(
         lib.floor_sums_cols(a.ctypes.data + 2 * q_start * p, q_total * p, *tail)
     else:
         lib.floor_sums_rows(a.ctypes.data + 2 * q_start, q_total, *tail)
+    return True
+
+
+def adc_noise_fold(
+    counts: np.ndarray,
+    keys: np.ndarray,
+    images: np.ndarray,
+    sigma: np.ndarray,
+    table: np.ndarray,
+    block: int,
+    out: np.ndarray,
+) -> bool:
+    """One psum group's ADC noise, folded into the layer output.
+
+    ``counts``: C-contiguous ``(B, 2L, P)`` float64 ``[pos; neg]``
+    counts; ``keys``, ``images`` (uint64) and ``sigma`` (float64): each
+    image's stream key, stream index and sigma; ``table``: the
+    ``2**16 + 1`` inverse-normal-CDF nodes; ``block``: the layer and
+    group.  Adds ``noisy[:, :L] - noisy[:, L:]`` to the C-contiguous
+    ``(B, L, P)`` float64 ``out``, bit for bit what
+    :func:`repro.photonics.converters.adc_noise` followed by
+    ``out += noisy[:, :L]; out -= noisy[:, L:]`` gives.  Returns False,
+    without touching ``out``, when the library is unavailable; raises
+    ValueError when the operands do not fit the kernel.
+    """
+    lib = get_kernel()
+    if lib is None:
+        return False
+    bn, l2, p = counts.shape
+    if not (
+        out.shape == (bn, l2 // 2, p) and l2 % 2 == 0
+        and keys.shape == images.shape == sigma.shape == (bn,)
+        and table.shape == (65537,)
+        and keys.dtype == images.dtype == np.uint64
+        and counts.dtype == out.dtype == sigma.dtype == table.dtype == np.float64
+        and all(x.flags.c_contiguous
+                for x in (counts, keys, images, sigma, table, out))
+    ):
+        raise ValueError("adc_noise_fold: operands do not fit the kernel")
+    lib.adc_noise_fold(
+        counts.ctypes.data, out.ctypes.data, keys.ctypes.data,
+        images.ctypes.data, sigma.ctypes.data, table.ctypes.data,
+        block, bn, l2 // 2, p,
+    )
     return True

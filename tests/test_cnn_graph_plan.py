@@ -287,7 +287,7 @@ def _cut_at(monkeypatch, *edges):
     monkeypatch.setattr(graph_plan.CORE_BUDGET, "cores", len(edges) + 1)
     monkeypatch.setattr(
         graph_plan, "_chunk_bounds",
-        lambda n, cuts, held: list(zip((0, *edges), (*edges, n))),
+        lambda n, held: list(zip((0, *edges), (*edges, n))),
     )
 
 
@@ -370,36 +370,10 @@ class TestRequestParallel:
         assert graph_plan.CORE_BUDGET.held == 0
 
     def test_balanced_bounds(self):
-        assert graph_plan._chunk_bounds(32, range(1, 32), 2) == [(0, 16), (16, 32)]
-        assert graph_plan._chunk_bounds(7, range(1, 7), 3) == [(0, 2), (2, 5), (5, 7)]
-        cuts = [3, 4, 8, 16, 18, 24]
-        assert graph_plan._chunk_bounds(32, cuts, 2) == [(0, 16), (16, 32)]
-        assert graph_plan._chunk_bounds(32, cuts, 3) == [(0, 8), (8, 24), (24, 32)]
-        # too few cut points: fewer, never empty, chunks
-        assert graph_plan._chunk_bounds(32, [1, 2], 4) == [(0, 2), (2, 32)]
-        assert graph_plan._chunk_bounds(32, [], 2) == [(0, 32)]
-
-    def test_cores_no_chunk_uses_go_back(self, models, monkeypatch):
-        """Requests of 1, 1 and 30 images take three cores but cut into
-        two chunks; the third core is free again before they run."""
-        held = []
-        real = graph_plan.CORE_BUDGET.submit
-
-        def spy(fn, *args):
-            held.append(graph_plan.CORE_BUDGET.held)
-            return real(fn, *args)
-
-        monkeypatch.setattr(graph_plan.CORE_BUDGET, "submit", spy)
-        monkeypatch.setattr(graph_plan.CORE_BUDGET, "cores", 4)
-        qm = models["snet_proxy"]
-        x = _batch(32, seed=27)
-        em = _requests([1, 2, 3], [1, 1, 30])
-        got = qm.forward(x, mode="sconna", error_model=em)
-        assert held == [2]
-        assert graph_plan.CORE_BUDGET.held == 0
-        oracle = qm.forward(x, mode="sconna", fused=False,
-                            error_model=_requests([1, 2, 3], [1, 1, 30]))
-        assert got.tobytes() == oracle.tobytes()
+        assert graph_plan._chunk_bounds(32, 2) == [(0, 16), (16, 32)]
+        assert graph_plan._chunk_bounds(7, 3) == [(0, 2), (2, 4), (4, 7)]
+        assert graph_plan._chunk_bounds(3, 3) == [(0, 1), (1, 2), (2, 3)]
+        assert graph_plan._chunk_bounds(32, 1) == [(0, 32)]
 
     def test_never_splits_other_batches(self, models, monkeypatch, submits):
         qm = models["snet_proxy"]
@@ -408,13 +382,6 @@ class TestRequestParallel:
         qm.forward(x, mode="sconna", error_model=_requests(range(1, 9), None))
         assert submits == [], "a 1-core budget never splits"
         monkeypatch.setattr(graph_plan.CORE_BUDGET, "cores", 4)
-        # one noisy model: one RNG stream spans the batch
-        qm.forward(x, mode="sconna", error_model=SconnaErrorModel(seed=1))
-        # one request of 8 images, and two requests sharing a generator
-        qm.forward(x, mode="sconna", error_model=_requests([1], [8]))
-        shared = SconnaErrorModel(seed=2)
-        qm.forward(x, mode="sconna",
-                   error_model=PerRequestErrorModels([shared, shared], [4, 4]))
         # int8 ignores an error model, noisy or not
         plain = qm.forward(x, mode="int8")
         with_noise = qm.forward(x, mode="int8",
@@ -424,6 +391,65 @@ class TestRequestParallel:
         qm.forward(x, mode="sconna", error_model=_requests(range(1, 9), None))
         assert submits == [2, 2, 2]
         assert graph_plan.CORE_BUDGET.held == 0
+
+    def test_splits_every_noisy_batch(self, models, monkeypatch, submits):
+        """Every image boundary is a cut point: a single noisy model, one
+        request of 8 images and two requests sharing one model split
+        like a per-request batch, and a forward holds at most one core
+        per image."""
+        qm = models["snet_proxy"]
+        x = _batch(8, seed=22)
+        monkeypatch.setattr(graph_plan.CORE_BUDGET, "cores", 4)
+        qm.forward(x, mode="sconna", error_model=SconnaErrorModel(seed=1))
+        qm.forward(x, mode="sconna", error_model=_requests([1], [8]))
+        shared = SconnaErrorModel(seed=2)
+        qm.forward(x, mode="sconna",
+                   error_model=PerRequestErrorModels([shared, shared], [4, 4]))
+        qm.forward(x[:2], mode="sconna", error_model=SconnaErrorModel(seed=3))
+        assert submits == [2] * 9 + [1]
+        assert graph_plan.CORE_BUDGET.held == 0
+
+    @pytest.mark.parametrize("cut", [1, 7, 13, 31])
+    def test_one_stream_cuts_anywhere(self, models, references, monkeypatch,
+                                      submits, cut):
+        """One noisy model over a batch of 32, and one 32-image request,
+        cut at any image give the unsplit bits and the oracle's."""
+        x, _ = references
+        qm = models["mnet_proxy"]
+        for em in (lambda: SconnaErrorModel(seed=9),
+                   lambda: _requests([9], [32])):
+            oracle = qm.forward(x, mode="sconna", error_model=em(),
+                                fused=False)
+            monkeypatch.setattr(graph_plan.CORE_BUDGET, "cores", 1)
+            unsplit = qm.forward(x, mode="sconna", error_model=em())
+            _cut_at(monkeypatch, cut)
+            split = qm.forward(x, mode="sconna", error_model=em())
+            assert split.tobytes() == unsplit.tobytes() == oracle.tobytes()
+        assert submits == [32 - cut] * 2
+        assert graph_plan.CORE_BUDGET.held == 0
+
+    def test_a_reused_model_never_repeats_a_draw(self, models):
+        """Each forward reserves its images in the model's stream, on the
+        fused and the per-layer path alike: the second forward draws
+        fresh noise, and a fresh model with the same seed repeats the
+        first."""
+        qm = models["gnet_proxy"]
+        x = _batch(3, seed=28)
+        fused = SconnaErrorModel(seed=4)
+        first = qm.forward(x, mode="sconna", error_model=fused)
+        second = qm.forward(x, mode="sconna", error_model=fused)
+        assert first.tobytes() != second.tobytes()
+        oracle = SconnaErrorModel(seed=4)
+        for want in (first, second):
+            got = qm.forward(x, mode="sconna", error_model=oracle, fused=False)
+            assert got.tobytes() == want.tobytes()
+        fresh = qm.forward(x, mode="sconna", error_model=SconnaErrorModel(seed=4))
+        assert fresh.tobytes() == first.tobytes()
+        unseeded = [
+            qm.forward(x, mode="sconna", error_model=SconnaErrorModel())
+            for _ in range(2)
+        ]
+        assert unseeded[0].tobytes() != unseeded[1].tobytes()
 
     def test_mismatched_requests_raise_before_any_split(self, models,
                                                         monkeypatch, submits):

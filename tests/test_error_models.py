@@ -48,36 +48,28 @@ class TestSconnaErrorModel:
         assert np.array_equal(a, b)
 
 
-class TestInPlaceForm:
-    """``apply_to_counts(counts, out=...)`` draws into ``out`` in place:
-    the same generator calls and the same bits as the allocating int64
-    form, which the oracle keeps."""
-
-    def test_single_model(self):
-        counts = np.random.default_rng(1).integers(0, 5000, (3, 4, 5)) * 1.0
-        for kwargs in ({"seed": 3}, {"adc_mape": 0.0}, {"adc_mape": 0.2, "seed": 4}):
-            want = SconnaErrorModel(**kwargs).apply_to_counts(counts)
-            out = np.empty_like(counts)
-            got = SconnaErrorModel(**kwargs).apply_to_counts(counts, out=out)
-            assert got is out and want.dtype == np.int64
-            assert got.tobytes() == want.astype(np.float64).tobytes()
-
-    def test_per_request_models(self):
+class TestPerRequestModels:
+    def test_each_request_draws_its_own_stream(self):
+        """A composite's noise for one request is that request's model
+        drawn alone; ideal entries leave their counts as they are."""
         counts = np.random.default_rng(2).integers(0, 5000, (6, 4, 5)) * 1.0
-
-        def composite():
-            return PerRequestErrorModels(
-                [SconnaErrorModel(seed=5), None, SconnaErrorModel(seed=6),
-                 SconnaErrorModel(adc_mape=0.0)],
-                sizes=[2, 1, 2, 1],
-            )
-
-        want = composite().apply_to_counts(counts)
+        composite = PerRequestErrorModels(
+            [SconnaErrorModel(seed=5), None, SconnaErrorModel(seed=6),
+             SconnaErrorModel(adc_mape=0.0)],
+            sizes=[2, 1, 2, 1],
+        )
         before = counts.copy()
-        out = np.empty_like(counts)
-        got = composite().apply_to_counts(counts, out=out)
-        assert got is out and got.tobytes() == want.tobytes()
+        got = composite.apply_to_counts(counts)
         assert np.array_equal(counts, before), "counts are an input only"
+        for sl, seed in ((slice(0, 2), 5), (slice(3, 5), 6)):
+            alone = PerRequestErrorModels([SconnaErrorModel(seed=seed)], [2])
+            assert np.array_equal(got[sl], alone.apply_to_counts(counts[sl]))
+        assert np.array_equal(got[2], counts[2])
+        assert np.array_equal(got[5], counts[5])
+
+    def test_draw_rejects_a_mismatched_batch(self):
+        with pytest.raises(ValueError, match="does not match"):
+            PerRequestErrorModels([SconnaErrorModel(seed=1)], [2]).draw(3)
 
 
 class TestMeasuredVdpError:

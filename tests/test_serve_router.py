@@ -41,6 +41,7 @@ from repro.serve import (
     serve_router,
 )
 from repro.serve import http11
+from repro.serve import router as router_module
 from repro.serve.client import ClientError, ServiceUnavailable
 from repro.serve.router import Replica, spawn_replicas
 from repro.serve.telemetry import (
@@ -363,6 +364,32 @@ class TestHealthAndFailover:
         finally:
             router.close()
 
+    def test_hung_replica_bounds_models_and_metrics(
+        self, hung_peer, monkeypatch
+    ):
+        """``GET /v1/models`` and ``GET /v1/metrics`` ask a replica that
+        accepts and never answers for one connect timeout, not a
+        forwarding read timeout; the snapshot names the failure."""
+        monkeypatch.setattr(http11, "CONNECT_TIMEOUT_S", 0.5)
+        url, _ = hung_peer
+        router = _make_router([url])
+        try:
+            assert router.replicas[0].healthy
+            out = {}
+            for call in (router.models, router.metrics_snapshot):
+                reader = threading.Thread(
+                    target=lambda c=call: out.update({c.__name__: c()}),
+                    daemon=True,
+                )
+                reader.start()
+                reader.join(timeout=0.5 + 1.0)
+                assert not reader.is_alive(), call.__name__
+            assert out["models"] == []
+            entry = out["metrics_snapshot"]["fleet"]["replicas"][0]
+            assert entry["url"] == url and "metrics_error" in entry
+        finally:
+            router.close()
+
     def test_forward_redispatches_off_a_dead_replica(self, setup, replicas):
         """A request routed at a corpse lands on the live replica with
         the right answer; the corpse is ejected by the traffic itself.
@@ -541,13 +568,13 @@ class TestFleetMetrics:
         once; the served models come from those documents too."""
         router, _ = routed
         paths = []
-        original = Replica.request
+        original = router_module.fetch
 
-        def request(replica, method, path, *args, **kwargs):
+        def fetch(url, method, path, timeout):
             paths.append(path)
-            return original(replica, method, path, *args, **kwargs)
+            return original(url, method, path, timeout)
 
-        monkeypatch.setattr(Replica, "request", request)
+        monkeypatch.setattr(router_module, "fetch", fetch)
         snap = router.metrics_snapshot()
         assert paths == ["/v1/metrics?format=state"] * 2
         assert snap["models"] == ["tiny"]
